@@ -3,6 +3,8 @@
 Cells are unit squares centered on integer (col, row) coordinates. All
 predicates here are exact: the segment traversal and the circle rasterizer
 use integer arithmetic only, so results are identical across platforms.
+The turn test is the one floating-point predicate; arc_window evaluates it
+with the same expression as the planner, so both agree bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +76,53 @@ def circle_offsets(radius: int) -> tuple[Offset, ...]:
             x -= 1
             d += 2 * (y - x) + 1
     return tuple(sorted(points, key=_clockwise_from_east))
+
+
+def turn_cos_threshold(alpha_max: float) -> float:
+    """Cosine bound equivalent to turn_angle(...) <= alpha_max + ANGLE_EPS_DEG.
+
+    A move (dc, dr) after heading (hx, hy) is admissible iff
+    ``hx*dc + hy*dr >= threshold * hypot(hx, hy) * hypot(dc, dr)``, which
+    avoids an acos per candidate. At 180 degrees every move is admissible.
+    """
+    bound = alpha_max + ANGLE_EPS_DEG
+    return math.cos(math.radians(bound)) if bound < 180.0 else -2.0
+
+
+@lru_cache(maxsize=None)
+def _doubled_circle(radius: int) -> tuple[Offset, ...]:
+    return circle_offsets(radius) * 2
+
+
+@lru_cache(maxsize=None)
+def arc_window(
+    radius: int, hx: int, hy: int, alpha_max: float
+) -> tuple[tuple[Offset, ...], int, int]:
+    """The circle offsets a move with heading (hx, hy) may turn to.
+
+    Returns ``(offsets, lo, hi)`` such that ``offsets[lo:hi]`` are exactly
+    the offsets of circle_offsets(radius) that pass the turn test of
+    turn_cos_threshold(alpha_max), each once. Because the circle is ordered
+    by angle they form one circular run, stored as a slice of the circle
+    repeated twice so that a run wrapping past east needs no copy. Should
+    floating point ever break the run apart, the admissible offsets are
+    returned explicitly instead.
+    """
+    circle = circle_offsets(radius)
+    threshold = turn_cos_threshold(alpha_max)
+    heading_norm = math.hypot(hx, hy)
+    ok = [
+        hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
+        for dc, dr in circle
+    ]
+    count = sum(ok)
+    if count in (0, len(circle)):
+        return _doubled_circle(radius), 0, count
+    starts = [i for i in range(len(circle)) if ok[i] and not ok[i - 1]]
+    if len(starts) == 1:
+        return _doubled_circle(radius), starts[0], starts[0] + count
+    explicit = tuple(offset for offset, keep in zip(circle, ok) if keep)
+    return explicit, 0, len(explicit)
 
 
 @lru_cache(maxsize=None)

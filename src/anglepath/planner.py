@@ -20,11 +20,12 @@ from enum import Enum
 
 from .geometry import (
     ANGLE_EPS_DEG,
-    _flat_segment,
+    arc_window,
     circle_offsets,
     euclid,
     line_of_sight,
     turn_angle,
+    turn_cos_threshold,
 )
 from .grids import Cell, Grid, InputError, is_traversable
 
@@ -38,12 +39,27 @@ class Verdict(str, Enum):
     TIMEOUT = "timeout"
 
 
+def _check_number(name: str, value, integer: bool = False) -> None:
+    # bool is an int subclass, but True is neither a count nor a distance.
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise InputError(f"{name} must be {kind}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise InputError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """All planner tunables.
 
     ``delta_min`` defaults to ``delta_max`` (for mode="lian" it must equal
     it). ``time_cap`` is wall-clock seconds checked once per expansion.
+    Every numeric field must be a finite int or float (``success_streak``
+    an int); bools are rejected.
     """
 
     mode: str = LIAN
@@ -59,10 +75,15 @@ class PlannerConfig:
     def __post_init__(self):
         if self.mode not in (LIAN, ELIAN):
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.delta_max <= 0:
-            raise InputError("delta_max must be > 0")
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", self.delta_max)
+        for name in ("delta_max", "delta_min", "k", "alpha_max", "weight", "time_cap"):
+            _check_number(name, getattr(self, name))
+        _check_number("success_streak", self.success_streak, integer=True)
+        if self.label is not None and not isinstance(self.label, str):
+            raise InputError(f"label must be a string, got {self.label!r}")
+        if self.delta_max <= 0:
+            raise InputError("delta_max must be > 0")
         if not 0 < self.delta_min <= self.delta_max:
             raise InputError("need 0 < delta_min <= delta_max")
         if self.mode == LIAN and self.delta_min != self.delta_max:
@@ -73,6 +94,8 @@ class PlannerConfig:
             raise InputError("alpha_max must lie in [0, 180] degrees")
         if self.weight < 1.0:
             raise InputError("weight must be >= 1")
+        if self.time_cap < 0:
+            raise InputError("time_cap must be >= 0")
         if self.success_streak < 1:
             raise InputError("success_streak must be >= 1")
 
@@ -98,6 +121,8 @@ class PlannerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlannerConfig":
+        if not isinstance(data, dict):
+            raise InputError(f"a config must be a JSON object, got {data!r}")
         allowed = {
             "mode",
             "delta_max",
@@ -209,7 +234,9 @@ def delta_successors(node: SearchNode, grid: Grid, goal: Cell) -> list[Cell]:
     """Raw successor candidates: in-bounds circle cells, goal injected last.
 
     The goal is appended when it lies strictly closer than the node's delta.
-    No line-of-sight or angle filtering happens here.
+    No line-of-sight or angle filtering happens here. Search.expand visits
+    only the turn-admissible part of these candidates; the tests use this
+    full list as its reference.
     """
     col, row = node.cell
     width, height = grid.width, grid.height
@@ -249,20 +276,7 @@ class Search:
         self.stats = SearchStats()
         self._seq = 0
         self._deadline = None
-        # cos threshold equivalent to turn_angle(...) <= alpha_max + eps;
-        # comparing dot products against it avoids an acos per candidate.
-        bound = cfg.alpha_max + ANGLE_EPS_DEG
-        self._cos_threshold = math.cos(math.radians(bound)) if bound < 180.0 else -2.0
-        self._circle_cache: dict[int, tuple] = {}
-
-    def _circle(self, radius: int):
-        cached = self._circle_cache.get(radius)
-        if cached is None:
-            offsets = circle_offsets(radius)
-            norms = tuple(math.hypot(dc, dr) for dc, dr in offsets)
-            cached = (offsets, frozenset(offsets), norms)
-            self._circle_cache[radius] = cached
-        return cached
+        self._cos_threshold = turn_cos_threshold(cfg.alpha_max)
 
     def _push(self, node: SearchNode) -> None:
         pcell = node.parent.cell if node.parent is not None else (-1, -1)
@@ -273,18 +287,6 @@ class Search:
         )
         if len(self.open) > self.stats.max_open:
             self.stats.max_open = len(self.open)
-
-    def _los_ok(self, a: Cell, b: Cell) -> bool:
-        flat_cells, flat_pairs = _flat_segment(self.grid.width, b[0] - a[0], b[1] - a[1])
-        base = a[1] * self.grid.width + a[0]
-        occ = self.grid._flat
-        for off in flat_cells:
-            if occ[base + off]:
-                return False
-        for off1, off2 in flat_pairs:
-            if occ[base + off1] and occ[base + off2]:
-                return False
-        return True
 
     def _streak_reached(self, node: SearchNode) -> bool:
         # True when success_streak nodes ending at `node` share its delta.
@@ -299,47 +301,49 @@ class Search:
     def expand(self, node: SearchNode) -> None:
         """Generate successors of an expanded node, or shrink its delta.
 
-        Candidates are exactly delta_successors(node): the in-bounds circle
-        cells at the node's delta, plus the goal when it is closer than
-        delta. Candidates failing line of sight or the turn limit are
-        dropped (start-node successors skip the turn test); so are
-        candidates whose (cell, parent cell) identity was already expanded.
-        If nothing survives, an eLIAN node re-enters the open list with
-        delta * k as long as that stays within the ladder, otherwise it is
-        discarded.
+        Candidates are the in-bounds cells of the discrete circle at the
+        node's delta whose turn from the node's heading stays within
+        alpha_max (all of them for the start node, which has no heading),
+        plus the goal when it is closer than delta and within the turn
+        limit. Only the admissible arc of the circle is visited, through
+        arc_window(). Candidates without line of sight are dropped, and so
+        are those whose (cell, parent cell) identity was already expanded.
+        The result equals filtering delta_successors(node) by the turn
+        test, line of sight and the closed set. If nothing survives, an
+        eLIAN node re-enters the open list with delta * k as long as that
+        stays within the ladder, otherwise it is discarded.
         """
         cfg = self.cfg
         grid = self.grid
+        width, height = grid.width, grid.height
+        closed = self.closed
         goal = self.goal
-        col, row = node.cell
-        parent_cell = node.parent.cell if node.parent is not None else None
-        if parent_cell is not None:
-            hx, hy = col - parent_cell[0], row - parent_cell[1]
-            heading_norm = math.hypot(hx, hy)
+        cell = node.cell
+        col, row = cell
         radius = max(1, round(node.delta))
-        offsets, offset_set, norms = self._circle(radius)
-        threshold = self._cos_threshold
+        parent = node.parent
+        if parent is None:
+            offsets = circle_offsets(radius)
+        else:
+            hx, hy = col - parent.cell[0], row - parent.cell[1]
+            window, lo, hi = arc_window(radius, hx, hy, cfg.alpha_max)
+            offsets = window[lo:hi]
 
         survivors = []
-        for index, (dc, dr) in enumerate(offsets):
-            cand = (col + dc, row + dr)
-            if not (0 <= cand[0] < grid.width and 0 <= cand[1] < grid.height):
-                continue
-            if parent_cell is not None:
-                if hx * dc + hy * dr < threshold * heading_norm * norms[index]:
-                    continue
-            if not self._los_ok(node.cell, cand):
-                continue
-            if (cand, node.cell) in self.closed:
-                continue
-            survivors.append(cand)
-        dg = euclid(node.cell, goal)
-        if dg < node.delta and (goal[0] - col, goal[1] - row) not in offset_set:
+        for dc, dr in offsets:
+            c, r = col + dc, row + dr
+            if 0 <= c < width and 0 <= r < height:
+                cand = (c, r)
+                if line_of_sight(grid, cell, cand) and (cand, cell) not in closed:
+                    survivors.append(cand)
+        dg = euclid(cell, goal)
+        # A goal on the circle that the loop rejected fails the same tests here.
+        if dg < node.delta and goal not in survivors:
             keep = True
-            if parent_cell is not None:
+            if parent is not None:
                 dot = hx * (goal[0] - col) + hy * (goal[1] - row)
-                keep = dot >= threshold * heading_norm * dg
-            if keep and self._los_ok(node.cell, goal) and (goal, node.cell) not in self.closed:
+                keep = dot >= self._cos_threshold * math.hypot(hx, hy) * dg
+            if keep and line_of_sight(grid, cell, goal) and (goal, cell) not in closed:
                 survivors.append(goal)
 
         if survivors:

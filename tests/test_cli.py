@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +177,22 @@ class TestBench:
             "--configs", str(bad), "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+
+    def test_infinite_delta_config_exits_three_quickly(self, tmp_path):
+        # JSON parses 1e400 as inf; the delta ladder used to grow without end.
+        scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)
+        bad = tmp_path / "inf.json"
+        bad.write_text('[{"mode": "lian", "delta_max": 1e400, "alpha_max": 25}]')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        ))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "anglepath.cli", "bench", "--scen", str(scens[0]),
+             "--maps-dir", str(tmp_path), "--configs", str(bad), "--out", str(tmp_path / "x")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "delta_max" in proc.stderr
+        assert time.perf_counter() - t0 < 20

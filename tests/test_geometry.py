@@ -13,6 +13,8 @@ from anglepath import (
     segment_cells,
     turn_angle,
 )
+from anglepath import geometry
+from anglepath.geometry import arc_window, turn_cos_threshold
 from oracles import circle_oracle, los_oracle
 
 
@@ -122,6 +124,67 @@ class TestCircleOffsets:
             pts = set(circle_offsets(radius))
             for dc, dr in pts:
                 assert {(dr, dc), (-dc, dr), (dc, -dr), (-dr, -dc)} <= pts
+
+
+def turn_ok(hx, hy, dc, dr, alpha_max):
+    """The planner's turn test, evaluated offset by offset."""
+    threshold = turn_cos_threshold(alpha_max)
+    return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
+
+
+def window_offsets(radius, hx, hy, alpha_max):
+    offsets, lo, hi = arc_window(radius, hx, hy, alpha_max)
+    return list(offsets[lo:hi])
+
+
+class TestArcWindow:
+    BENCH_ALPHAS = (20.0, 25.0, 30.0, 60.0, 75.0, 90.0)
+
+    def test_equals_full_scan_for_circle_headings(self):
+        for radius in range(1, 21):
+            circle = circle_offsets(radius)
+            for hx, hy in circle:
+                for alpha in self.BENCH_ALPHAS:
+                    window = window_offsets(radius, hx, hy, alpha)
+                    expected = [o for o in circle if turn_ok(hx, hy, *o, alpha)]
+                    assert len(window) == len(set(window))
+                    assert set(window) == set(expected), (radius, hx, hy, alpha)
+
+    def test_half_turn_yields_every_offset_once(self):
+        for radius in (1, 2, 5, 10, 20):
+            circle = circle_offsets(radius)
+            for hx, hy in circle + ((3, -7), (1, 0), (-5, 2)):
+                window = window_offsets(radius, hx, hy, 180.0)
+                assert sorted(window) == sorted(circle)
+
+    def test_zero_turn_keeps_only_collinear_offsets(self):
+        for radius in (1, 2, 5, 10, 20):
+            for hx, hy in circle_offsets(radius) + ((3, 4), (1, 2), (-7, 3)):
+                for dc, dr in window_offsets(radius, hx, hy, 0.0):
+                    assert hx * dr - hy * dc == 0 and hx * dc + hy * dr > 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 20.0, 45.0, 90.0, 135.0, 179.999, 180.0])
+    def test_wrapping_and_off_circle_headings(self, alpha):
+        # Headings near east make the arc wrap past angle 0; the rest lie on
+        # no circle, like the heading of a move injected onto the goal.
+        headings = [(1, 0), (9, -1), (9, 1), (13, -5), (-4, 7), (2, -11), (6, 6)]
+        wrapped = 0
+        for radius in (1, 3, 10, 20):
+            circle = circle_offsets(radius)
+            for hx, hy in headings:
+                window = window_offsets(radius, hx, hy, alpha)
+                expected = [o for o in circle if turn_ok(hx, hy, *o, alpha)]
+                assert len(window) == len(set(window))
+                assert set(window) == set(expected), (radius, hx, hy)
+                wrapped += arc_window(radius, hx, hy, alpha)[2] > len(circle)
+        assert wrapped > 0 or alpha in (0.0, 180.0)
+
+    def test_broken_run_falls_back_to_explicit_offsets(self, monkeypatch):
+        # An order that is not by angle splits the admissible offsets in two.
+        scrambled = ((-2, 0), (2, 0), (0, 2), (2, 1))
+        monkeypatch.setattr(geometry, "circle_offsets", lambda radius: scrambled)
+        offsets, lo, hi = arc_window.__wrapped__(2, 1, 0, 30.0)
+        assert list(offsets[lo:hi]) == [(2, 0), (2, 1)]
 
 
 class TestLineOfSight:

@@ -22,6 +22,7 @@ from anglepath import (
     search,
     validate_path,
 )
+from anglepath.geometry import turn_cos_threshold
 from oracles import reachable
 
 LIAN20 = PlannerConfig(mode="lian", delta_max=20, alpha_max=25, weight=2, time_cap=10)
@@ -77,11 +78,27 @@ class TestConfig:
             {"alpha_max": 200},
             {"weight": 0.5},
             {"success_streak": 0},
+            {"delta_max": 1e400},  # what JSON parses 1e400 to: inf
+            {"delta_max": 10**400},
+            {"delta_max": "20"},
+            {"mode": "elian", "delta_max": 8, "delta_min": math.nan},
+            {"k": math.nan},
+            {"weight": math.nan},
+            {"weight": math.inf},
+            {"time_cap": math.nan},
+            {"time_cap": -1},
+            {"success_streak": True},
+            {"success_streak": 2.0},
+            {"label": 7},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InputError):
             PlannerConfig(**kwargs)
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(InputError):
+            PlannerConfig.from_dict([["mode", "lian"]])
 
     def test_round_trip_dict(self):
         cfg = PlannerConfig(mode="elian", delta_max=20, delta_min=5, alpha_max=30)
@@ -224,6 +241,68 @@ class TestExpand:
         s2.expand(node2)
         second = {entry[7].cell for entry in s2.open}
         assert second == first - {(40, 20)}
+
+
+def full_scan_children(search, node):
+    """Reference for Search.expand: delta_successors filtered one by one."""
+    grid = search.grid
+    threshold = turn_cos_threshold(search.cfg.alpha_max)
+    col, row = node.cell
+    children = []
+    for cand in delta_successors(node, grid, search.goal):
+        if node.parent is not None:
+            hx, hy = col - node.parent.cell[0], row - node.parent.cell[1]
+            dc, dr = cand[0] - col, cand[1] - row
+            if hx * dc + hy * dr < threshold * math.hypot(hx, hy) * math.hypot(dc, dr):
+                continue
+        if line_of_sight(grid, node.cell, cand) and (cand, node.cell) not in search.closed:
+            children.append(cand)
+    return children
+
+
+class TestExpandMatchesFullScan:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 10**6),
+        alpha=st.sampled_from([0.0, 20.0, 45.0, 90.0, 135.0, 179.999, 180.0]),
+        delta=st.sampled_from([1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.0]),
+        heading=st.one_of(
+            st.none(),  # the start node
+            # Headings whose admissible arc wraps past east (angle 0).
+            st.sampled_from([(1, 0), (8, -1), (8, 1), (10, 0), (5, -2), (7, 3)]),
+            # Mostly headings on no circle, like a move onto an injected goal.
+            st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(lambda h: h != (0, 0)),
+        ),
+    )
+    def test_children_equal_full_scan(self, seed, alpha, delta, heading):
+        rng = random.Random(seed)
+        grid = random_grid(rng, rng.randrange(6, 25), rng.choice([0.0, 0.15, 0.3]))
+        free = [
+            (c, r)
+            for r in range(grid.height)
+            for c in range(grid.width)
+            if not grid.blocked_at(c, r)
+        ]
+        if len(free) < 2:
+            return
+        cell = rng.choice(free)
+        near = [f for f in free if f != cell and math.dist(f, cell) <= delta + 1]
+        goal = rng.choice(near if near and rng.random() < 0.5 else [f for f in free if f != cell])
+        cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
+        s = make_search(grid, cell, goal, cfg)
+        parent = None
+        if heading is not None:
+            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0, delta)
+        node = SearchNode(cell, parent, 0.0, 0.0, 0, delta)
+        for cand in delta_successors(node, grid, goal):
+            if rng.random() < 0.3:
+                s.closed[(cand, cell)] = "sentinel"
+        expected = full_scan_children(s, node)
+        s.expand(node)
+        children = [entry[7].cell for entry in s.open]
+        assert len(children) == len(set(children))
+        assert set(children) == set(expected)
+        assert s.stats.generated == len(expected)
 
 
 class TestSearch:
