@@ -5,14 +5,22 @@ predicates here are exact: the segment traversal and the circle rasterizer
 use integer arithmetic only, so results are identical across platforms.
 The turn test is the one floating-point predicate; arc_window evaluates it
 with the same expression as the planner, so both agree bit for bit.
+
+Line of sight has one routine, visible_targets. It tests a fan of rays from
+one cell: each ray lists the cells of segment_cells() as row or column runs,
+and a run is free when the grid's free-run table at its first cell covers
+its length. circle_rays() precomputes the rays of a whole delta circle, so
+the planner tests a node's admissible arc in one call; line_of_sight() is
+the same routine applied to one ray.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
-from .grids import Cell, Grid
+from .grids import MAX_RUN, Cell, Grid
 
 Offset = tuple[int, int]  # (dcol, drow) displacement
 
@@ -180,17 +188,94 @@ def segment_cells(
     return tuple(cells), tuple(pairs)
 
 
+# A ray is segment_cells(dcol, drow) laid out for one grid width, as a tuple
+# (dcol, drow, step, along_rows, runs, pairs). ``step`` is hypot(dcol, drow).
+# ``runs`` are (flat offset of the run's lowest-index cell, cell count)
+# pairs: row runs read from Grid.free_right when along_rows, column runs
+# read from Grid.free_down otherwise, in segment order from the origin.
+# ``pairs`` are the corner pairs as flat offsets.
+Ray = tuple[int, int, float, bool, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
 @lru_cache(maxsize=None)
-def _flat_segment(
-    width: int, dcol: int, drow: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """segment_cells() converted to row-major flat-index displacements."""
+def ray(width: int, dcol: int, drow: int) -> Ray:
+    """The segment from (0,0) to (dcol,drow) as runs on a grid of this width.
+
+    Shallow segments (``|dcol| >= |drow|``) are grouped into row runs, steep
+    ones into column runs; runs longer than MAX_RUN cells are split. The
+    runs cover exactly the cells of segment_cells(dcol, drow).
+    """
     cells, pairs = segment_cells(dcol, drow)
-    flat_cells = tuple(dr * width + dc for dc, dr in cells)
+    along_rows = abs(dcol) >= abs(drow)
+    # [line, lowest position, highest position]. The traversal moves one
+    # cell at a time, so consecutive cells on one line are adjacent.
+    spans: list[list[int]] = []
+    for dc, dr in cells:
+        line, pos = (dr, dc) if along_rows else (dc, dr)
+        last = spans[-1] if spans else None
+        if last is not None and last[0] == line and last[2] - last[1] + 1 < MAX_RUN:
+            last[1] = min(last[1], pos)
+            last[2] = max(last[2], pos)
+        else:
+            spans.append([line, pos, pos])
+    runs = tuple(
+        (line * width + lo if along_rows else lo * width + line, hi - lo + 1)
+        for line, lo, hi in spans
+    )
     flat_pairs = tuple(
         (r1 * width + c1, r2 * width + c2) for (c1, r1), (c2, r2) in pairs
     )
-    return flat_cells, flat_pairs
+    return dcol, drow, math.hypot(dcol, drow), along_rows, runs, flat_pairs
+
+
+@lru_cache(maxsize=None)
+def circle_rays(width: int, height: int, radius: int) -> tuple[Ray, ...]:
+    """Rays to circle_offsets(radius) on a width x height grid, listed twice.
+
+    Aligned with _doubled_circle(radius), so an arc_window slice ``lo:hi``
+    selects the rays of the admissible arc directly. An offset that cannot
+    land in such a grid (``|dcol| >= width`` or ``|drow| >= height``) gets a
+    placeholder with no cells instead of a ray, because visible_targets
+    rejects its target as out of bounds from any cell.
+    """
+    rays = tuple(
+        ray(width, dc, dr)
+        if abs(dc) < width and abs(dr) < height
+        else (dc, dr, math.hypot(dc, dr), True, (), ())
+        for dc, dr in circle_offsets(radius)
+    )
+    return rays * 2
+
+
+def visible_targets(
+    grid: Grid, cell: Cell, rays: Sequence[Ray]
+) -> list[tuple[Cell, float]]:
+    """The in-bounds ray targets seen from cell, with their step lengths.
+
+    For each ray, in order, whose target lies in the grid, the target is
+    kept iff every cell the segment crosses is free (tested run by run
+    against the grid's free-run tables) and no corner it passes through is
+    sealed by two blocked cells. ``cell`` must be in bounds.
+    """
+    col, row = cell
+    width, height = grid.width, grid.height
+    base = row * width + col
+    free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
+    seen = []
+    for dcol, drow, step, along_rows, runs, pairs in rays:
+        c, r = col + dcol, row + drow
+        if 0 <= c < width and 0 <= r < height:
+            free = free_right if along_rows else free_down
+            for off, length in runs:
+                if free[base + off] < length:
+                    break
+            else:
+                for off1, off2 in pairs:
+                    if occ[base + off1] and occ[base + off2]:
+                        break
+                else:
+                    seen.append(((c, r), step))
+    return seen
 
 
 def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
@@ -198,15 +283,7 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
 
     Every cell whose square the segment crosses must be unblocked (a and b
     included); a corner crossed exactly is passable unless both diagonal
-    cells pinching it are blocked. Both endpoints must be in bounds.
+    cells pinching it are blocked. a must be in bounds; b out of bounds
+    gives False.
     """
-    flat_cells, flat_pairs = _flat_segment(grid.width, b[0] - a[0], b[1] - a[1])
-    base = a[1] * grid.width + a[0]
-    occ = grid._flat
-    for off in flat_cells:
-        if occ[base + off]:
-            return False
-    for off1, off2 in flat_pairs:
-        if occ[base + off1] and occ[base + off2]:
-            return False
-    return True
+    return bool(visible_targets(grid, a, (ray(grid.width, b[0] - a[0], b[1] - a[1]),)))

@@ -27,10 +27,36 @@ class InputError(ValueError):
     """Invalid planning input (bad start/goal, inconsistent config)."""
 
 
-class Grid:
-    """Immutable occupancy map of blocked and unblocked cells."""
+# Free-run table entries saturate here so that each fits in one byte.
+MAX_RUN = 255
 
-    __slots__ = ("width", "height", "blocked", "_flat")
+
+def _free_runs(blocked: np.ndarray) -> np.ndarray:
+    """Per cell, the count of consecutive free cells from it along axis 1.
+
+    A blocked cell counts 0. Counts stop at the end of the row and saturate
+    at MAX_RUN.
+    """
+    width = blocked.shape[1]
+    cols = np.arange(width)
+    # Column of the first blocked cell at or after each cell (width if none).
+    stops = np.where(blocked, cols, width)
+    next_stop = np.minimum.accumulate(stops[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(next_stop - cols, MAX_RUN).astype(np.uint8)
+
+
+class Grid:
+    """Immutable occupancy map of blocked and unblocked cells.
+
+    Besides the boolean matrix it carries row-major byte tables for the
+    search hot loop: ``_flat`` holds 1 for a blocked cell, and
+    ``free_right`` / ``free_down`` hold the number of consecutive free cells
+    starting at each cell going right / down, capped at MAX_RUN. A run of n
+    cells starting at flat index i is free iff ``free_right[i] >= n``
+    (``free_down[i] >= n`` for a column run), for n <= MAX_RUN.
+    """
+
+    __slots__ = ("width", "height", "blocked", "_flat", "free_right", "free_down")
 
     def __init__(self, blocked: np.ndarray):
         blocked = np.asarray(blocked, dtype=bool)
@@ -40,8 +66,14 @@ class Grid:
         blocked.flags.writeable = False
         self.height, self.width = blocked.shape
         self.blocked = blocked
-        # Row-major byte view: fast scalar lookups in the search hot loop.
         self._flat = blocked.astype(np.uint8).tobytes()
+        self.free_right = _free_runs(blocked).tobytes()
+        self.free_down = _free_runs(blocked.T).T.tobytes()
+
+    def __reduce__(self):
+        # Rebuild through __init__: numpy unpickles arrays writeable, and the
+        # byte tables must be derived from the matrix the grid ends up with.
+        return Grid, (self.blocked,)
 
     def in_bounds(self, col: int, row: int) -> bool:
         return 0 <= col < self.width and 0 <= row < self.height

@@ -15,17 +15,19 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
     circle_offsets,
+    circle_rays,
     euclid,
     line_of_sight,
     turn_angle,
     turn_cos_threshold,
+    visible_targets,
 )
 from .grids import Cell, Grid, InputError, is_traversable
 
@@ -108,32 +110,14 @@ class PlannerConfig:
         return f"elian-{self.delta_max:g}-{self.delta_min:g}"
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "delta_max": self.delta_max,
-            "delta_min": self.delta_min,
-            "k": self.k,
-            "alpha_max": self.alpha_max,
-            "weight": self.weight,
-            "time_cap": self.time_cap,
-            "success_streak": self.success_streak,
-        }
+        # label is left out: records carry it as their algorithm name.
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "label"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlannerConfig":
         if not isinstance(data, dict):
             raise InputError(f"a config must be a JSON object, got {data!r}")
-        allowed = {
-            "mode",
-            "delta_max",
-            "delta_min",
-            "k",
-            "alpha_max",
-            "weight",
-            "time_cap",
-            "success_streak",
-            "label",
-        }
+        allowed = {f.name for f in fields(cls)}
         unknown = set(data) - allowed
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -305,9 +289,11 @@ class Search:
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
         plus the goal when it is closer than delta and within the turn
-        limit. Only the admissible arc of the circle is visited, through
-        arc_window(). Candidates without line of sight are dropped, and so
-        are those whose (cell, parent cell) identity was already expanded.
+        limit. Only the admissible arc of the circle is visited: arc_window()
+        slices the circle's precomputed rays, and one visible_targets() call
+        tests line of sight along all of them. Candidates without line of
+        sight are dropped, and so are those whose (cell, parent cell)
+        identity was already expanded.
         The result equals filtering delta_successors(node) by the turn
         test, line of sight and the closed set. If nothing survives, an
         eLIAN node re-enters the open list with delta * k as long as that
@@ -322,29 +308,41 @@ class Search:
         col, row = cell
         radius = max(1, round(node.delta))
         parent = node.parent
-        if parent is None:
-            offsets = circle_offsets(radius)
-        else:
+        if parent is not None:
             hx, hy = col - parent.cell[0], row - parent.cell[1]
-            window, lo, hi = arc_window(radius, hx, hy, cfg.alpha_max)
-            offsets = window[lo:hi]
+        if radius >= 2 * max(width, height):
+            # Circle cells lie more than radius - 1 away, farther than any two
+            # cells of the grid are apart: skip the circle unrasterized.
+            rays = ()
+        else:
+            table = circle_rays(width, height, radius)
+            if parent is None:
+                rays = table[: len(table) // 2]
+            else:
+                window, lo, hi = arc_window(radius, hx, hy, cfg.alpha_max)
+                if len(window) == len(table):  # a slice of the doubled circle
+                    rays = table[lo:hi]
+                else:  # the admissible offsets, listed explicitly
+                    admissible = set(window[lo:hi])
+                    rays = [
+                        entry for entry in table[: len(table) // 2]
+                        if entry[:2] in admissible
+                    ]
 
-        survivors = []
-        for dc, dr in offsets:
-            c, r = col + dc, row + dr
-            if 0 <= c < width and 0 <= r < height:
-                cand = (c, r)
-                if line_of_sight(grid, cell, cand) and (cand, cell) not in closed:
-                    survivors.append(cand)
+        survivors = [
+            (cand, step)
+            for cand, step in visible_targets(grid, cell, rays)
+            if (cand, cell) not in closed
+        ]
         dg = euclid(cell, goal)
-        # A goal on the circle that the loop rejected fails the same tests here.
-        if dg < node.delta and goal not in survivors:
+        # A goal on the circle that the rays rejected fails the same tests here.
+        if dg < node.delta and goal not in [cand for cand, _ in survivors]:
             keep = True
             if parent is not None:
                 dot = hx * (goal[0] - col) + hy * (goal[1] - row)
                 keep = dot >= self._cos_threshold * math.hypot(hx, hy) * dg
             if keep and line_of_sight(grid, cell, goal) and (goal, cell) not in closed:
-                survivors.append(goal)
+                survivors.append((goal, dg))
 
         if survivors:
             raise_level = (
@@ -354,8 +352,8 @@ class Search:
             )
             child_level = node.level - 1 if raise_level else node.level
             child_delta = self.levels[child_level]
-            for cand in survivors:
-                g = node.g + euclid(node.cell, cand)
+            for cand, step in survivors:
+                g = node.g + step
                 f = g + cfg.weight * euclid(cand, self.goal)
                 self._push(SearchNode(cand, node, g, f, child_level, child_delta))
                 self.stats.generated += 1

@@ -127,7 +127,8 @@ def building_blocked(seed: int, size: int = 128, spacing=(18, 30), door=(3, 7),
                 continue
             doors = 2 if rng.random() < second_door_p else 1
             for _ in range(doors):
-                dw = rng.randrange(door[0], door[1] + 1)
+                # Clamped so that a door also fits between walls 8 apart.
+                dw = min(rng.randrange(door[0], door[1] + 1), y1 - y0 - 2)
                 pos = rng.randrange(y0 + 1, y1 - dw)
                 blocked[pos:pos + dw, x] = False
     for y in ys:
@@ -136,7 +137,8 @@ def building_blocked(seed: int, size: int = 128, spacing=(18, 30), door=(3, 7),
                 continue
             doors = 2 if rng.random() < second_door_p else 1
             for _ in range(doors):
-                dw = rng.randrange(door[0], door[1] + 1)
+                # Clamped so that a door also fits between walls 8 apart.
+                dw = min(rng.randrange(door[0], door[1] + 1), x1 - x0 - 2)
                 pos = rng.randrange(x0 + 1, x1 - dw)
                 blocked[y, pos:pos + dw] = False
     return blocked

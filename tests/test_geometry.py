@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglepath import (
@@ -14,7 +14,13 @@ from anglepath import (
     turn_angle,
 )
 from anglepath import geometry
-from anglepath.geometry import arc_window, turn_cos_threshold
+from anglepath.geometry import (
+    arc_window,
+    circle_rays,
+    ray,
+    turn_cos_threshold,
+    visible_targets,
+)
 from oracles import circle_oracle, los_oracle
 
 
@@ -265,3 +271,77 @@ class TestLineOfSight:
                 blocked = np.zeros((n, n), dtype=bool)
                 blocked[a[1] + dr, a[0] + dc] = True
                 assert not line_of_sight(Grid(blocked), a, b)
+
+
+def pinched_grid(rng, height, width, density, pinches):
+    """Random blockage plus diagonal pairs that seal a lattice corner."""
+    import numpy as np
+
+    from anglepath import Grid
+
+    blocked = np.array(
+        [[rng.random() < density for _ in range(width)] for _ in range(height)]
+    )
+    for _ in range(pinches):
+        c, r = rng.randrange(width - 1), rng.randrange(height - 1)
+        diagonal = rng.random() < 0.5
+        blocked[r, c] = blocked[r + 1, c + 1] = diagonal
+        blocked[r + 1, c] = blocked[r, c + 1] = not diagonal
+    return Grid(blocked)
+
+
+class TestVisibleTargets:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_circle_rays_match_exact_oracle(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        height, width = data.draw(st.integers(2, 14)), data.draw(st.integers(2, 14))
+        g = pinched_grid(
+            rng, height, width, data.draw(st.sampled_from([0.0, 0.1, 0.25])),
+            data.draw(st.integers(0, 6)),
+        )
+        cell = (data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1)))
+        radius = data.draw(st.integers(1, 12))
+        table = circle_rays(width, height, radius)
+        seen = visible_targets(g, cell, table[: len(table) // 2])
+        expected = []
+        for dc, dr in circle_offsets(radius):
+            target = (cell[0] + dc, cell[1] + dr)
+            if g.in_bounds(*target):
+                clear = los_oracle(g, cell, target)
+                assert line_of_sight(g, cell, target) == clear, (cell, target)
+                if clear:
+                    expected.append((target, euclid(cell, target)))
+        assert seen == expected
+
+    @pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
+    def test_straight_rays_longer_than_a_table_entry(self, shape):
+        import numpy as np
+
+        from anglepath import Grid
+
+        along = max(shape)
+        for block in (254, 255, 256, 300, 509, 510, 511, 599):
+            blocked = np.zeros(shape, dtype=bool)
+            blocked.flat[block] = True
+            g = Grid(blocked)
+            end = (along - 1, 0) if shape[0] == 1 else (0, along - 1)
+            assert not line_of_sight(g, (0, 0), end)
+            assert not line_of_sight(g, end, (0, 0))
+            before = (block - 1, 0) if shape[0] == 1 else (0, block - 1)
+            assert line_of_sight(g, (0, 0), before)
+            dcol, drow = end
+            assert visible_targets(g, (0, 0), [ray(g.width, dcol, drow)]) == []
+
+    def test_shallow_ray_longer_than_a_table_entry(self):
+        import numpy as np
+
+        from anglepath import Grid
+
+        # (0,0) -> (599,1) crosses row 0 for 300 cells, then row 1.
+        for block in ((260, 0), (299, 0), (300, 0), (300, 1), (560, 1), (270, 2)):
+            blocked = np.zeros((3, 600), dtype=bool)
+            blocked[block[1], block[0]] = True
+            g = Grid(blocked)
+            for a, b in (((0, 0), (599, 1)), ((599, 1), (0, 0)), ((0, 1), (599, 2))):
+                assert line_of_sight(g, a, b) == los_oracle(g, a, b), (block, a, b)

@@ -182,3 +182,55 @@ class TestTraversable:
         g2 = Grid(src)
         src[0, 0] = True  # must not leak into the grid
         assert g2.blocked_count() == 0
+        for table in (g2._flat, g2.free_right, g2.free_down):
+            assert type(table) is bytes
+
+    def test_grid_pickle_round_trip(self):
+        # run_batch with jobs > 1 ships grids to worker processes this way.
+        import pickle
+        import random
+
+        from anglepath import Grid, line_of_sight
+
+        rng = random.Random(3)
+        g = Grid(mapgen.building_blocked(1)[:40, :30])
+        copy = pickle.loads(pickle.dumps(g))
+        assert (copy.width, copy.height) == (g.width, g.height)
+        assert (copy.blocked == g.blocked).all()
+        with pytest.raises(ValueError):
+            copy.blocked[0, 0] = False
+        for name in ("_flat", "free_right", "free_down"):
+            assert getattr(copy, name) == getattr(g, name)
+        for _ in range(300):
+            a = (rng.randrange(g.width), rng.randrange(g.height))
+            b = (rng.randrange(g.width), rng.randrange(g.height))
+            assert line_of_sight(copy, a, b) == line_of_sight(g, a, b)
+
+    def test_free_run_tables_count_free_cells(self):
+        import random
+
+        import numpy as np
+
+        from anglepath import Grid
+        from anglepath.grids import MAX_RUN
+
+        rng = random.Random(11)
+        shapes = [(rng.randrange(1, 12), rng.randrange(1, 12)) for _ in range(20)]
+        for height, width in shapes + [(1, 300), (300, 1)]:
+            blocked = np.array(
+                [[rng.random() < 0.3 for _ in range(width)] for _ in range(height)]
+            )
+            if width == 300 or height == 300:
+                blocked[:] = False
+                blocked.flat[280] = True
+            g = Grid(blocked)
+            for row in range(height):
+                for col in range(width):
+                    right = down = 0
+                    while col + right < width and not blocked[row, col + right]:
+                        right += 1
+                    while row + down < height and not blocked[row + down, col]:
+                        down += 1
+                    index = row * width + col
+                    assert g.free_right[index] == min(right, MAX_RUN)
+                    assert g.free_down[index] == min(down, MAX_RUN)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from anglepath import (
     search,
     validate_path,
 )
-from anglepath.geometry import turn_cos_threshold
+from anglepath.geometry import arc_window, turn_cos_threshold
 from oracles import reachable
 
 LIAN20 = PlannerConfig(mode="lian", delta_max=20, alpha_max=25, weight=2, time_cap=10)
@@ -103,6 +104,14 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = PlannerConfig(mode="elian", delta_max=20, delta_min=5, alpha_max=30)
         assert PlannerConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_to_dict_keys(self):
+        # Records embed this dict, so its key order is part of their bytes.
+        cfg = PlannerConfig(mode="elian", delta_max=20, delta_min=5, label="x")
+        assert list(cfg.to_dict()) == [
+            "mode", "delta_max", "delta_min", "k", "alpha_max", "weight",
+            "time_cap", "success_streak",
+        ]
 
     def test_levels_ladder(self):
         cfg = PlannerConfig(mode="elian", delta_max=20, delta_min=5, k=0.5)
@@ -303,6 +312,62 @@ class TestExpandMatchesFullScan:
         assert len(children) == len(set(children))
         assert set(children) == set(expected)
         assert s.stats.generated == len(expected)
+
+    def test_explicit_arc_fallback(self, monkeypatch):
+        # arc_window hands back the admissible offsets themselves when they
+        # do not form one run of the circle; expand must accept that form.
+        import anglepath.planner as planner
+
+        def explicit(radius, hx, hy, alpha_max):
+            window, lo, hi = arc_window(radius, hx, hy, alpha_max)
+            offsets = tuple(window[lo:hi])
+            return offsets, 0, len(offsets)
+
+        monkeypatch.setattr(planner, "arc_window", explicit)
+        rng = random.Random(4)
+        for _ in range(60):
+            grid = random_grid(rng, rng.randrange(6, 25), rng.choice([0.0, 0.15, 0.3]))
+            inst = random_instance(rng, grid)
+            if inst is None:
+                continue
+            cell, goal = inst
+            delta = rng.choice([2.0, 4.5, 8.0])
+            alpha = rng.choice([20.0, 45.0, 135.0])
+            cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
+            s = make_search(grid, cell, goal, cfg)
+            heading = (rng.randrange(-9, 10), rng.randrange(1, 10))
+            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0, delta)
+            node = SearchNode(cell, parent, 0.0, 0.0, 0, delta)
+            expected = full_scan_children(s, node)
+            s.expand(node)
+            assert sorted(entry[7].cell for entry in s.open) == sorted(expected)
+
+
+class TestHugeDelta:
+    # A 30x20 map: no circle cell of radius >= 60 can land in it.
+    OPEN = ["." * 30] * 20
+    WALLED = ["." * 30] * 14 + ["." * 20 + "#" * 10] + ["." * 20 + "#" + "." * 9] * 5
+
+    @pytest.mark.parametrize("delta", [1e3, 1e5, 1e9])
+    def test_visible_goal_in_one_jump(self, delta):
+        grid = parse_ascii_map("\n".join(self.OPEN))
+        cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=25, time_cap=20)
+        t0 = time.perf_counter()
+        out = search(grid, (1, 1), (28, 18), cfg)
+        assert time.perf_counter() - t0 < 5.0
+        assert out.verdict is Verdict.FOUND
+        assert out.path == [(1, 1), (28, 18)]
+
+    @pytest.mark.parametrize("delta", [1e3, 1e5, 1e9])
+    def test_walled_off_goal_not_found(self, delta):
+        grid = parse_ascii_map("\n".join(self.WALLED))
+        cfg = PlannerConfig(mode="elian", delta_max=delta, delta_min=delta / 4,
+                            alpha_max=25, time_cap=20)
+        t0 = time.perf_counter()
+        out = search(grid, (1, 1), (25, 17), cfg)
+        assert time.perf_counter() - t0 < 5.0
+        assert out.verdict is Verdict.NOT_FOUND
+        assert out.stats.reinsertions == 2
 
 
 class TestSearch:
