@@ -6,18 +6,19 @@ use integer arithmetic only, so results are identical across platforms.
 The turn test is the one floating-point predicate; arc_window evaluates it
 with the same expression as the planner, so both agree bit for bit.
 
-Line of sight has one routine, visible_targets. It tests a fan of rays from
-one cell: each ray lists the cells of segment_cells() as row or column runs,
-and a run is free when the grid's free-run table at its first cell covers
-its length. circle_rays() precomputes the rays of a whole delta circle, so
-the planner tests a node's admissible arc in one call; line_of_sight() is
-the same routine applied to one ray.
+line_of_sight() lists the cells of segment_cells() as row or column runs
+(a ray) and reads each run from the grid's free-run tables: a run is free
+when the table entry at its first cell covers its length. The planner asks
+circle_visibility() instead, which tests the same rays for the offsets of a
+delta circle that one expansion may move to, and keeps the answers on the
+grid as one bitmask per (radius, cell): a later expansion of that cell, in
+the same search or another one on the grid, reads them back and walks only
+the rays of offsets no earlier expansion asked for.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from functools import lru_cache
 
 from .grids import MAX_RUN, Cell, Grid
@@ -98,23 +99,16 @@ def turn_cos_threshold(alpha_max: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _doubled_circle(radius: int) -> tuple[Offset, ...]:
-    return circle_offsets(radius) * 2
+def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> tuple[int, int]:
+    """The circle offsets a move with heading (hx, hy) may turn to, as bits.
 
-
-@lru_cache(maxsize=None)
-def arc_window(
-    radius: int, hx: int, hy: int, alpha_max: float
-) -> tuple[tuple[Offset, ...], int, int]:
-    """The circle offsets a move with heading (hx, hy) may turn to.
-
-    Returns ``(offsets, lo, hi)`` such that ``offsets[lo:hi]`` are exactly
-    the offsets of circle_offsets(radius) that pass the turn test of
-    turn_cos_threshold(alpha_max), each once. Because the circle is ordered
-    by angle they form one circular run, stored as a slice of the circle
-    repeated twice so that a run wrapping past east needs no copy. Should
-    floating point ever break the run apart, the admissible offsets are
-    returned explicitly instead.
+    Returns ``(lo, bits)``: bit j of ``bits`` is set iff offset j of
+    circle_offsets(radius) passes the turn test of
+    turn_cos_threshold(alpha_max). Because the circle is ordered by angle
+    the set bits form one circular run, which starts at offset ``lo``; the
+    planner visits them in circle order from there. ``lo`` is 0 when no
+    offset or every offset passes, and should floating point ever break the
+    run apart.
     """
     circle = circle_offsets(radius)
     threshold = turn_cos_threshold(alpha_max)
@@ -123,17 +117,11 @@ def arc_window(
         hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
         for dc, dr in circle
     ]
-    count = sum(ok)
-    if count in (0, len(circle)):
-        return _doubled_circle(radius), 0, count
-    starts = [i for i in range(len(circle)) if ok[i] and not ok[i - 1]]
-    if len(starts) == 1:
-        return _doubled_circle(radius), starts[0], starts[0] + count
-    explicit = tuple(offset for offset, keep in zip(circle, ok) if keep)
-    return explicit, 0, len(explicit)
+    bits = sum(1 << j for j, keep in enumerate(ok) if keep)
+    starts = [j for j in range(len(circle)) if ok[j] and not ok[j - 1]]
+    return (starts[0] if len(starts) == 1 else 0), bits
 
 
-@lru_cache(maxsize=None)
 def segment_cells(
     dcol: int, drow: int
 ) -> tuple[tuple[Offset, ...], tuple[tuple[Offset, Offset], ...]]:
@@ -146,8 +134,9 @@ def segment_cells(
     lattice corner it passes through exactly; passage is blocked only when
     both members of a pair are blocked (a sealed diagonal).
 
-    Translation-invariant, hence cached per displacement. Every returned
-    cell lies in the bounding box of the two endpoints.
+    Translation-invariant, so it depends on the displacement only. Not
+    cached: ray() caches what it derives from it. Every returned cell lies
+    in the bounding box of the two endpoints.
     """
     sx = -1 if dcol < 0 else 1
     sy = -1 if drow < 0 else 1
@@ -189,12 +178,11 @@ def segment_cells(
 
 
 # A ray is segment_cells(dcol, drow) laid out for one grid width, as a tuple
-# (dcol, drow, step, along_rows, runs, pairs). ``step`` is hypot(dcol, drow).
-# ``runs`` are (flat offset of the run's lowest-index cell, cell count)
-# pairs: row runs read from Grid.free_right when along_rows, column runs
-# read from Grid.free_down otherwise, in segment order from the origin.
-# ``pairs`` are the corner pairs as flat offsets.
-Ray = tuple[int, int, float, bool, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+# (along_rows, runs, pairs). ``runs`` are (flat offset of the run's
+# lowest-index cell, cell count) pairs: row runs read from Grid.free_right
+# when along_rows, column runs read from Grid.free_down otherwise, in segment
+# order from the origin. ``pairs`` are the corner pairs as flat offsets.
+Ray = tuple[bool, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=None)
@@ -225,57 +213,7 @@ def ray(width: int, dcol: int, drow: int) -> Ray:
     flat_pairs = tuple(
         (r1 * width + c1, r2 * width + c2) for (c1, r1), (c2, r2) in pairs
     )
-    return dcol, drow, math.hypot(dcol, drow), along_rows, runs, flat_pairs
-
-
-@lru_cache(maxsize=None)
-def circle_rays(width: int, height: int, radius: int) -> tuple[Ray, ...]:
-    """Rays to circle_offsets(radius) on a width x height grid, listed twice.
-
-    Aligned with _doubled_circle(radius), so an arc_window slice ``lo:hi``
-    selects the rays of the admissible arc directly. An offset that cannot
-    land in such a grid (``|dcol| >= width`` or ``|drow| >= height``) gets a
-    placeholder with no cells instead of a ray, because visible_targets
-    rejects its target as out of bounds from any cell.
-    """
-    rays = tuple(
-        ray(width, dc, dr)
-        if abs(dc) < width and abs(dr) < height
-        else (dc, dr, math.hypot(dc, dr), True, (), ())
-        for dc, dr in circle_offsets(radius)
-    )
-    return rays * 2
-
-
-def visible_targets(
-    grid: Grid, cell: Cell, rays: Sequence[Ray]
-) -> list[tuple[Cell, float]]:
-    """The in-bounds ray targets seen from cell, with their step lengths.
-
-    For each ray, in order, whose target lies in the grid, the target is
-    kept iff every cell the segment crosses is free (tested run by run
-    against the grid's free-run tables) and no corner it passes through is
-    sealed by two blocked cells. ``cell`` must be in bounds.
-    """
-    col, row = cell
-    width, height = grid.width, grid.height
-    base = row * width + col
-    free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
-    seen = []
-    for dcol, drow, step, along_rows, runs, pairs in rays:
-        c, r = col + dcol, row + drow
-        if 0 <= c < width and 0 <= r < height:
-            free = free_right if along_rows else free_down
-            for off, length in runs:
-                if free[base + off] < length:
-                    break
-            else:
-                for off1, off2 in pairs:
-                    if occ[base + off1] and occ[base + off2]:
-                        break
-                else:
-                    seen.append(((c, r), step))
-    return seen
+    return along_rows, runs, flat_pairs
 
 
 def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
@@ -283,7 +221,88 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
 
     Every cell whose square the segment crosses must be unblocked (a and b
     included); a corner crossed exactly is passable unless both diagonal
-    cells pinching it are blocked. a must be in bounds; b out of bounds
-    gives False.
+    cells pinching it are blocked. Either cell out of bounds gives False.
     """
-    return bool(visible_targets(grid, a, (ray(grid.width, b[0] - a[0], b[1] - a[1]),)))
+    col, row = a
+    width, height = grid.width, grid.height
+    if not (0 <= col < width and 0 <= row < height
+            and 0 <= b[0] < width and 0 <= b[1] < height):
+        return False
+    along_rows, runs, pairs = ray(width, b[0] - col, b[1] - row)
+    base = row * width + col
+    free = grid.free_right if along_rows else grid.free_down
+    for off, length in runs:
+        if free[base + off] < length:
+            return False
+    occ = grid._flat
+    for off1, off2 in pairs:
+        if occ[base + off1] and occ[base + off2]:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def circle_steps(radius: int) -> tuple[tuple[int, int, float], ...]:
+    """circle_offsets(radius) as (dcol, drow, hypot(dcol, drow)) triples."""
+    return tuple((dc, dr, math.hypot(dc, dr)) for dc, dr in circle_offsets(radius))
+
+
+@lru_cache(maxsize=None)
+def _circle_rays(width: int, height: int, radius: int) -> tuple[Ray | None, ...]:
+    # The rays of circle_offsets(radius); None for an offset that lands in
+    # a width x height grid from no cell.
+    return tuple(
+        ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None
+        for dc, dr in circle_offsets(radius)
+    )
+
+
+@lru_cache(maxsize=1 << 14)
+def _set_bits(bits: int) -> tuple[int, ...]:
+    # Indices of the set bits, low to high. Few values recur: a cell's first
+    # expansion asks for a whole arc, later ones for what another arc left.
+    return tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
+
+
+def circle_visibility(grid: Grid, cell: Cell, radius: int, need: int) -> int:
+    """Which of the delta-circle targets selected by ``need`` cell sees.
+
+    Bit j of ``need`` selects offset j of circle_offsets(radius). Bit j of
+    the result is set iff it is selected, the target lies in the grid and
+    line_of_sight() holds from cell, which must be in bounds, to it. The
+    answers are kept on the grid: Grid.circle_tables maps the radius to a
+    dict from the cell's flat index to ``asked << n | seen`` (n offsets), so
+    no ray from a cell is walked twice on one grid, and the table grows by
+    at most one entry per call.
+    """
+    width, height = grid.width, grid.height
+    col, row = cell
+    base = row * width + col
+    circle = circle_offsets(radius)
+    count = len(circle)
+    table = grid.circle_tables.get(radius)
+    if table is None:
+        table = grid.circle_tables[radius] = {}
+    entry = table.get(base, 0)
+    missing = need & ~(entry >> count)
+    if missing:
+        entry |= missing << count
+        rays = _circle_rays(width, height, radius)
+        free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
+        for j in _set_bits(missing):
+            dc, dr = circle[j]
+            if 0 <= col + dc < width and 0 <= row + dr < height:
+                # line_of_sight's test, inlined: it runs once per ray.
+                along_rows, runs, pairs = rays[j]
+                free = free_right if along_rows else free_down
+                for off, length in runs:
+                    if free[base + off] < length:
+                        break
+                else:
+                    for off1, off2 in pairs:
+                        if occ[base + off1] and occ[base + off2]:
+                            break
+                    else:
+                        entry |= 1 << j
+        table[base] = entry
+    return entry & need

@@ -54,9 +54,16 @@ class Grid:
     starting at each cell going right / down, capped at MAX_RUN. A run of n
     cells starting at flat index i is free iff ``free_right[i] >= n``
     (``free_down[i] >= n`` for a column run), for n <= MAX_RUN.
+
+    ``circle_tables`` holds the delta-circle visibility answers that
+    geometry.circle_visibility() has computed on this grid, per radius and
+    cell. It is derived data: pickling drops it and the unpickled grid
+    recomputes answers as they are asked for.
     """
 
-    __slots__ = ("width", "height", "blocked", "_flat", "free_right", "free_down")
+    __slots__ = (
+        "width", "height", "blocked", "_flat", "free_right", "free_down", "circle_tables",
+    )
 
     def __init__(self, blocked: np.ndarray):
         blocked = np.asarray(blocked, dtype=bool)
@@ -69,6 +76,7 @@ class Grid:
         self._flat = blocked.astype(np.uint8).tobytes()
         self.free_right = _free_runs(blocked).tobytes()
         self.free_down = _free_runs(blocked.T).T.tobytes()
+        self.circle_tables: dict[int, dict[int, int]] = {}
 
     def __reduce__(self):
         # Rebuild through __init__: numpy unpickles arrays writeable, and the

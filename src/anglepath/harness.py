@@ -13,7 +13,7 @@ import io
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -29,6 +29,10 @@ from .grids import (
     load_map,
 )
 from .planner import PlannerConfig, Verdict, search
+
+
+# RunRecord fields that may be None, and so may be missing from a dict.
+_NULLABLE = ("path_length", "accumulated_angle_deg", "path")
 
 
 @dataclass(frozen=True)
@@ -47,35 +51,23 @@ class RunRecord:
     path: tuple[Cell, ...] | None
 
     def to_dict(self) -> dict:
-        data = {
-            "instance_id": self.instance_id,
-            "algorithm": self.algorithm,
-            "config": self.config,
-            "verdict": self.verdict.value,
-            "runtime_s": self.runtime_s,
-            "path_length": self.path_length,
-            "accumulated_angle_deg": self.accumulated_angle_deg,
-            "expansions": self.expansions,
-            "reinsertions": self.reinsertions,
-            "path": [list(c) for c in self.path] if self.path is not None else None,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["verdict"] = self.verdict.value
+        if self.path is not None:
+            data["path"] = [list(c) for c in self.path]
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        path = data.get("path")
-        return cls(
-            instance_id=data["instance_id"],
-            algorithm=data["algorithm"],
-            config=dict(data["config"]),
-            verdict=Verdict(data["verdict"]),
-            runtime_s=data["runtime_s"],
-            path_length=data.get("path_length"),
-            accumulated_angle_deg=data.get("accumulated_angle_deg"),
-            expansions=data["expansions"],
-            reinsertions=data["reinsertions"],
-            path=tuple((c[0], c[1]) for c in path) if path is not None else None,
-        )
+        values = {
+            f.name: data.get(f.name) if f.name in _NULLABLE else data[f.name]
+            for f in fields(cls)
+        }
+        values["config"] = dict(values["config"])
+        values["verdict"] = Verdict(values["verdict"])
+        if values["path"] is not None:
+            values["path"] = tuple((c[0], c[1]) for c in values["path"])
+        return cls(**values)
 
 
 def path_length(path: Sequence[Cell]) -> float:
@@ -132,6 +124,22 @@ def _run_set(
     return records, errors
 
 
+# The grids of the batch a worker process serves, set once by its initializer
+# so that tasks name their map instead of carrying a pickled Grid each.
+_worker_grids: Mapping[str, Grid] = {}
+
+
+def _init_worker(grids: Mapping[str, Grid]) -> None:
+    global _worker_grids
+    _worker_grids = grids
+
+
+def _run_worker_set(
+    scen: ScenarioSet, cfg: PlannerConfig
+) -> tuple[list[RunRecord], list[str]]:
+    return _run_set(_worker_grids[scen.map_id], scen, cfg)
+
+
 def run_batch(
     scenarios: Iterable[ScenarioSet],
     configs: Sequence[PlannerConfig],
@@ -145,6 +153,8 @@ def run_batch(
     Maps resolve from ``grids`` by map_id first, then from ``maps_dir`` (the
     map_id itself, then its basename). Records come back in deterministic
     (scenario, config, instance) order regardless of the parallelism degree.
+    With ``jobs > 1`` each worker process receives the grids once, through
+    the pool's initializer, and fills its own circle tables.
     """
     scenario_list = list(scenarios)
     resolved: dict[str, Grid] = {}
@@ -182,11 +192,10 @@ def run_batch(
         for scen, cfg in tasks:
             collect(*_run_set(resolved[scen.map_id], scen, cfg))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_set, resolved[scen.map_id], scen, cfg)
-                for scen, cfg in tasks
-            ]
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(resolved,)
+        ) as pool:
+            futures = [pool.submit(_run_worker_set, scen, cfg) for scen, cfg in tasks]
             # Consume in submission order: deterministic output, streamed
             # to the sink as each task finishes.
             for future in futures:

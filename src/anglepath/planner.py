@@ -22,12 +22,12 @@ from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
     circle_offsets,
-    circle_rays,
+    circle_steps,
+    circle_visibility,
     euclid,
     line_of_sight,
     turn_angle,
     turn_cos_threshold,
-    visible_targets,
 )
 from .grids import Cell, Grid, InputError, is_traversable
 
@@ -186,22 +186,29 @@ def reconstruct_path(goal_node: SearchNode) -> list[Cell]:
 @dataclass(frozen=True)
 class PathViolation:
     index: int
-    kind: str  # "los" | "angle"
+    kind: str  # "bounds" | "los" | "angle"
     message: str
 
 
 def validate_path(grid: Grid, path: list[Cell], alpha_max: float) -> PathViolation | None:
     """Independent feasibility check of a waypoint list.
 
-    Returns None when every consecutive pair has line of sight and every
-    interior turn stays within alpha_max; otherwise the first violation in
-    waypoint order. Paths need at least two distinct consecutive waypoints.
+    Returns None when every waypoint lies in the grid, every consecutive
+    pair has line of sight and every interior turn stays within alpha_max.
+    Otherwise it returns the first waypoint off the grid, or else the first
+    sight or turn violation in waypoint order. Paths need at least two
+    distinct consecutive waypoints.
     """
     if len(path) < 2:
         raise InputError("path needs at least 2 waypoints")
     for a, b in zip(path, path[1:]):
         if a == b:
             raise InputError("path contains a zero-length segment")
+    for i, (col, row) in enumerate(path):
+        if not grid.in_bounds(col, row):
+            return PathViolation(
+                i, "bounds", f"{path[i]} lies outside the {grid.width}x{grid.height} grid"
+            )
     for i in range(len(path) - 1):
         if not line_of_sight(grid, path[i], path[i + 1]):
             return PathViolation(i, "los", f"no line of sight {path[i]}->{path[i + 1]}")
@@ -289,11 +296,11 @@ class Search:
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
         plus the goal when it is closer than delta and within the turn
-        limit. Only the admissible arc of the circle is visited: arc_window()
-        slices the circle's precomputed rays, and one visible_targets() call
-        tests line of sight along all of them. Candidates without line of
-        sight are dropped, and so are those whose (cell, parent cell)
-        identity was already expanded.
+        limit. circle_visibility() tests bounds and line of sight for the
+        offsets in the arc_window() of the node's heading, as bits, reusing
+        what earlier expansions of the cell on this grid found. Survivors
+        come in circle order from the arc's first offset, and those whose
+        (cell, parent cell) identity was already expanded are dropped.
         The result equals filtering delta_successors(node) by the turn
         test, line of sight and the closed set. If nothing survives, an
         eLIAN node re-enters the open list with delta * k as long as that
@@ -301,7 +308,6 @@ class Search:
         """
         cfg = self.cfg
         grid = self.grid
-        width, height = grid.width, grid.height
         closed = self.closed
         goal = self.goal
         cell = node.cell
@@ -310,32 +316,25 @@ class Search:
         parent = node.parent
         if parent is not None:
             hx, hy = col - parent.cell[0], row - parent.cell[1]
-        if radius >= 2 * max(width, height):
-            # Circle cells lie more than radius - 1 away, farther than any two
-            # cells of the grid are apart: skip the circle unrasterized.
-            rays = ()
-        else:
-            table = circle_rays(width, height, radius)
-            if parent is None:
-                rays = table[: len(table) // 2]
-            else:
-                window, lo, hi = arc_window(radius, hx, hy, cfg.alpha_max)
-                if len(window) == len(table):  # a slice of the doubled circle
-                    rays = table[lo:hi]
-                else:  # the admissible offsets, listed explicitly
-                    admissible = set(window[lo:hi])
-                    rays = [
-                        entry for entry in table[: len(table) // 2]
-                        if entry[:2] in admissible
-                    ]
-
-        survivors = [
-            (cand, step)
-            for cand, step in visible_targets(grid, cell, rays)
-            if (cand, cell) not in closed
-        ]
+        survivors = []
+        # A circle of radius >= 2 * max(width, height) lies farther out than
+        # any two cells are apart: skip it unrasterized.
+        if radius < 2 * max(grid.width, grid.height):
+            targets = circle_steps(radius)
+            count = len(targets)
+            full = (1 << count) - 1
+            lo, need = (0, full) if parent is None else arc_window(radius, hx, hy, cfg.alpha_max)
+            bits = circle_visibility(grid, cell, radius, need)
+            bits = (bits | bits << count) >> lo & full  # circle order from lo
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                dc, dr, step = targets[(lo + low.bit_length() - 1) % count]
+                cand = (col + dc, row + dr)
+                if (cand, cell) not in closed:
+                    survivors.append((cand, step))
         dg = euclid(cell, goal)
-        # A goal on the circle that the rays rejected fails the same tests here.
+        # A goal on the circle that circle_visibility rejected fails the same tests here.
         if dg < node.delta and goal not in [cand for cand, _ in survivors]:
             keep = True
             if parent is not None:

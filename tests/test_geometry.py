@@ -14,13 +14,7 @@ from anglepath import (
     turn_angle,
 )
 from anglepath import geometry
-from anglepath.geometry import (
-    arc_window,
-    circle_rays,
-    ray,
-    turn_cos_threshold,
-    visible_targets,
-)
+from anglepath.geometry import arc_window, circle_visibility, turn_cos_threshold
 from oracles import circle_oracle, los_oracle
 
 
@@ -138,9 +132,19 @@ def turn_ok(hx, hy, dc, dr, alpha_max):
     return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
 
 
+def arc_offsets(circle, lo, bits):
+    """The offsets whose bits are set, in circle order from offset lo."""
+    n = len(circle)
+    return [circle[(lo + k) % n] for k in range(n) if bits >> (lo + k) % n & 1]
+
+
 def window_offsets(radius, hx, hy, alpha_max):
-    offsets, lo, hi = arc_window(radius, hx, hy, alpha_max)
-    return list(offsets[lo:hi])
+    circle = circle_offsets(radius)
+    lo, bits = arc_window(radius, hx, hy, alpha_max)
+    # The admissible offsets are one run of the circle starting at lo.
+    run = (bits | bits << len(circle)) >> lo & ((1 << len(circle)) - 1)
+    assert run == (1 << run.bit_count()) - 1, (radius, hx, hy, alpha_max)
+    return arc_offsets(circle, lo, bits)
 
 
 class TestArcWindow:
@@ -182,15 +186,17 @@ class TestArcWindow:
                 expected = [o for o in circle if turn_ok(hx, hy, *o, alpha)]
                 assert len(window) == len(set(window))
                 assert set(window) == set(expected), (radius, hx, hy)
-                wrapped += arc_window(radius, hx, hy, alpha)[2] > len(circle)
+                lo, bits = arc_window(radius, hx, hy, alpha)
+                wrapped += lo > 0 and bits & 1  # the run passes offset 0
         assert wrapped > 0 or alpha in (0.0, 180.0)
 
     def test_broken_run_falls_back_to_explicit_offsets(self, monkeypatch):
         # An order that is not by angle splits the admissible offsets in two.
         scrambled = ((-2, 0), (2, 0), (0, 2), (2, 1))
         monkeypatch.setattr(geometry, "circle_offsets", lambda radius: scrambled)
-        offsets, lo, hi = arc_window.__wrapped__(2, 1, 0, 30.0)
-        assert list(offsets[lo:hi]) == [(2, 0), (2, 1)]
+        lo, bits = arc_window.__wrapped__(2, 1, 0, 30.0)
+        assert (lo, bits) == (0, 0b1010)
+        assert arc_offsets(scrambled, lo, bits) == [(2, 0), (2, 1)]
 
 
 class TestLineOfSight:
@@ -222,6 +228,13 @@ class TestLineOfSight:
     def test_degenerate_same_cell(self):
         g = grid_of("..\n..")
         assert line_of_sight(g, (1, 1), (1, 1))
+
+    def test_out_of_bounds_endpoint(self):
+        # Off-grid cells must not be read from wrapped flat indices.
+        g = grid_of("...\n...\n..#")
+        for a, b in (((0, -1), (2, 1)), ((0, -1), (0, 1)), ((3, 0), (1, 1)), ((-1, 2), (1, 2))):
+            assert not line_of_sight(g, a, b), (a, b)
+            assert not line_of_sight(g, b, a), (b, a)
 
     def test_matches_exact_oracle_randomized(self):
         rng = random.Random(20240)
@@ -290,29 +303,78 @@ def pinched_grid(rng, height, width, density, pinches):
     return Grid(blocked)
 
 
+def visible_offsets(grid, radius, cell, need=None):
+    """The circle offsets selected by need (default all) that cell sees."""
+    circle = circle_offsets(radius)
+    full = (1 << len(circle)) - 1
+    bits = circle_visibility(grid, cell, radius, full if need is None else need)
+    assert bits & ~(full if need is None else need) == 0
+    return arc_offsets(circle, 0, bits)
+
+
+def expected_offsets(grid, radius, cell, los):
+    """The circle offsets from cell whose target is in bounds and seen by los."""
+    return [
+        (dc, dr)
+        for dc, dr in circle_offsets(radius)
+        if grid.in_bounds(cell[0] + dc, cell[1] + dr)
+        and los(grid, cell, (cell[0] + dc, cell[1] + dr))
+    ]
+
+
 class TestVisibleTargets:
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_circle_rays_match_exact_oracle(self, data):
+        # Every circle offset from every cell, on non-square grids that circles
+        # often overhang, with corners sealed by diagonal pairs.
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         height, width = data.draw(st.integers(2, 14)), data.draw(st.integers(2, 14))
         g = pinched_grid(
             rng, height, width, data.draw(st.sampled_from([0.0, 0.1, 0.25])),
             data.draw(st.integers(0, 6)),
         )
-        cell = (data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1)))
         radius = data.draw(st.integers(1, 12))
-        table = circle_rays(width, height, radius)
-        seen = visible_targets(g, cell, table[: len(table) // 2])
-        expected = []
-        for dc, dr in circle_offsets(radius):
-            target = (cell[0] + dc, cell[1] + dr)
-            if g.in_bounds(*target):
-                clear = los_oracle(g, cell, target)
-                assert line_of_sight(g, cell, target) == clear, (cell, target)
-                if clear:
-                    expected.append((target, euclid(cell, target)))
-        assert seen == expected
+        count = len(circle_offsets(radius))
+        for row in range(height):
+            for col in range(width):
+                cell = (col, row)
+                expected = expected_offsets(g, radius, cell, los_oracle)
+                # A first ask for some offsets, then one for all of them:
+                # later asks reuse the answers the grid kept.
+                part = data.draw(st.integers(0, (1 << count) - 1))
+                asked = arc_offsets(circle_offsets(radius), 0, part)
+                assert visible_offsets(g, radius, cell, part) == [
+                    o for o in asked if o in expected
+                ], (cell, radius, part)
+                assert visible_offsets(g, radius, cell) == expected, (cell, radius)
+                for dc, dr in circle_offsets(radius):
+                    target = (col + dc, row + dr)
+                    assert line_of_sight(g, cell, target) == ((dc, dr) in expected)
+
+    def test_answers_are_kept_on_the_grid(self, monkeypatch):
+        g = grid_of("...\n.#.\n...")
+        walked = []
+
+        class CountingRays(tuple):
+            def __getitem__(self, j):
+                walked.append(j)
+                return tuple.__getitem__(self, j)
+
+        rays = geometry._circle_rays
+        monkeypatch.setattr(geometry, "_circle_rays", lambda *args: CountingRays(rays(*args)))
+        # 12 offsets at radius 2; from (0, 0) only (2, 0), (2, 1), (1, 2)
+        # and (0, 2), bits 0-3, land, and the blocked centre hides two.
+        assert visible_offsets(g, 2, (0, 0), 0b100000000011) == [(2, 0)]
+        assert len(walked) == 2  # (2, -1), bit 11, is off the grid
+        assert visible_offsets(g, 2, (0, 0)) == [(2, 0), (0, 2)]
+        assert len(walked) == 4
+        assert visible_offsets(g, 2, (0, 0), 0b1110) == [(0, 2)]
+        assert len(walked) == 4  # every offset was asked before
+        # One entry per asked cell: asked bits above the seen ones.
+        assert g.circle_tables == {2: {0: 0xFFF << 12 | 0b1001}}
+        assert visible_offsets(grid_of("...\n.#.\n..."), 2, (0, 0), 0b11) == [(2, 0)]
+        assert len(walked) == 6  # a new grid keeps its own answers
 
     @pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
     def test_straight_rays_longer_than_a_table_entry(self, shape):
@@ -330,8 +392,10 @@ class TestVisibleTargets:
             assert not line_of_sight(g, end, (0, 0))
             before = (block - 1, 0) if shape[0] == 1 else (0, block - 1)
             assert line_of_sight(g, (0, 0), before)
-            dcol, drow = end
-            assert visible_targets(g, (0, 0), [ray(g.width, dcol, drow)]) == []
+            assert visible_offsets(g, along - 1, (0, 0)) == []
+            assert visible_offsets(g, along - 1, end) == []
+            open_grid = Grid(np.zeros(shape, dtype=bool))
+            assert visible_offsets(open_grid, along - 1, (0, 0)) == [end]
 
     def test_shallow_ray_longer_than_a_table_entry(self):
         import numpy as np
@@ -345,3 +409,9 @@ class TestVisibleTargets:
             g = Grid(blocked)
             for a, b in (((0, 0), (599, 1)), ((599, 1), (0, 0)), ((0, 1), (599, 2))):
                 assert line_of_sight(g, a, b) == los_oracle(g, a, b), (block, a, b)
+            # Circles far wider than the grid is tall: only the offsets
+            # with |drow| <= 2 can land, from the end columns or near them.
+            for radius, cols in ((599, (0, 599)), (300, (0, 1, 255, 256, 299, 300, 599))):
+                for cell in [(col, row) for col in cols for row in range(3)]:
+                    expected = expected_offsets(g, radius, cell, los_oracle)
+                    assert visible_offsets(g, radius, cell) == expected, (block, radius, cell)

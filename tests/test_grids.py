@@ -191,10 +191,18 @@ class TestTraversable:
         import random
 
         from anglepath import Grid, line_of_sight
+        from anglepath.geometry import circle_visibility
 
         rng = random.Random(3)
         g = Grid(mapgen.building_blocked(1)[:40, :30])
+        size = len(pickle.dumps(g))
+        cells = [(col, row) for row in range(g.height) for col in range(g.width)]
+        seen = [circle_visibility(g, cell, 5, (1 << 28) - 1) for cell in cells]
+        # The circle tables are derived data and never travel with the grid.
+        assert len(pickle.dumps(g)) == size
         copy = pickle.loads(pickle.dumps(g))
+        assert copy.circle_tables == {}
+        assert [circle_visibility(copy, cell, 5, (1 << 28) - 1) for cell in cells] == seen
         assert (copy.width, copy.height) == (g.width, g.height)
         assert (copy.blocked == g.blocked).all()
         with pytest.raises(ValueError):

@@ -150,6 +150,43 @@ class TestRunBatch:
         assert len(result.records) == 1
         assert len(result.errors) == 1 and "blocked" in result.errors[0]
 
+    def test_workers_receive_each_grid_once(self, monkeypatch):
+        # Grids reach the workers through the pool initializer, not inside
+        # every task: the parent pickles each at most once per worker.
+        scens = self.scens + [tiny_scen("b.map", [((2, 2), (30, 20))])]
+        grids = dict(self.grids, **{"b.map": empty_grid(32)})
+        serial = run_batch(scens, self.configs, grids=grids, jobs=1)
+        pickled = []
+        reduce = Grid.__reduce__
+
+        def counting_reduce(grid):
+            pickled.append(grid)
+            return reduce(grid)
+
+        monkeypatch.setattr(Grid, "__reduce__", counting_reduce)
+        parallel = run_batch(scens, self.configs, grids=grids, jobs=2)
+        for grid in grids.values():
+            assert sum(p is grid for p in pickled) <= 2
+
+        def timeless(records):
+            return [r.to_dict() | {"runtime_s": None} for r in records]
+
+        assert timeless(parallel.records) == timeless(serial.records)
+        assert parallel.errors == serial.errors
+
+    def test_record_dict_keys_in_field_order(self):
+        result = run_batch(self.scens, self.configs[:1], grids=self.grids)
+        record = result.records[0]
+        assert list(record.to_dict()) == [
+            "instance_id", "algorithm", "config", "verdict", "runtime_s", "path_length",
+            "accumulated_angle_deg", "expansions", "reinsertions", "path",
+        ]
+        assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+        sparse = {k: v for k, v in record.to_dict().items() if k != "path_length"}
+        assert RunRecord.from_dict(sparse).path_length is None
+        with pytest.raises(KeyError):
+            RunRecord.from_dict({k: v for k, v in sparse.items() if k != "expansions"})
+
     def test_record_jsonl_round_trip(self, tmp_path):
         out = tmp_path / "records.jsonl"
         result = run_batch(self.scens, self.configs, grids=self.grids)

@@ -23,7 +23,7 @@ from anglepath import (
     search,
     validate_path,
 )
-from anglepath.geometry import arc_window, turn_cos_threshold
+from anglepath.geometry import arc_window, circle_offsets, turn_cos_threshold
 from oracles import reachable
 
 LIAN20 = PlannerConfig(mode="lian", delta_max=20, alpha_max=25, weight=2, time_cap=10)
@@ -252,6 +252,56 @@ class TestExpand:
         assert second == first - {(40, 20)}
 
 
+class TestExpandOrder:
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 10**6),
+        alpha=st.sampled_from([20.0, 45.0, 90.0, 180.0]),
+        delta=st.sampled_from([2.0, 3.0, 6.0, 10.0]),
+        heading=st.one_of(
+            st.none(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+        ),
+    )
+    def test_push_order_follows_the_circle_from_the_arc_start(
+        self, seed, alpha, delta, heading
+    ):
+        # Push order sets the seq tie-break, so it is part of the behaviour:
+        # circle order, starting at the first admissible offset of the arc.
+        rng = random.Random(seed)
+        grid = random_grid(rng, rng.randrange(6, 25), rng.choice([0.0, 0.15, 0.3]))
+        inst = random_instance(rng, grid)
+        if inst is None:
+            return
+        cell, goal = inst
+        cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
+        s = make_search(grid, cell, goal, cfg)
+        parent = None
+        circle = circle_offsets(max(1, round(delta)))
+        ok = [True] * len(circle)
+        if heading is not None:
+            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0, 0, 0, delta)
+            threshold = turn_cos_threshold(alpha)
+            ok = [
+                heading[0] * dc + heading[1] * dr
+                >= threshold * math.hypot(*heading) * math.hypot(dc, dr)
+                for dc, dr in circle
+            ]
+        starts = [i for i in range(len(circle)) if ok[i] and not ok[i - 1]]
+        first = starts[0] if starts else 0
+        expected = []
+        for k in range(len(circle)):
+            i = (first + k) % len(circle)
+            target = (cell[0] + circle[i][0], cell[1] + circle[i][1])
+            if ok[i] and line_of_sight(grid, cell, target):
+                expected.append(target)
+        node = SearchNode(cell, parent, 0.0, 0.0, 0, delta)
+        s.expand(node)
+        pushed = [entry[7].cell for entry in sorted(s.open, key=lambda entry: entry[6])]
+        if pushed[len(expected):]:  # the injected goal comes last
+            assert pushed[len(expected):] == [goal]
+        assert pushed[: len(expected)] == expected
+
+
 def full_scan_children(search, node):
     """Reference for Search.expand: delta_successors filtered one by one."""
     grid = search.grid
@@ -314,14 +364,12 @@ class TestExpandMatchesFullScan:
         assert s.stats.generated == len(expected)
 
     def test_explicit_arc_fallback(self, monkeypatch):
-        # arc_window hands back the admissible offsets themselves when they
-        # do not form one run of the circle; expand must accept that form.
+        # arc_window starts at offset 0 when the admissible offsets do not
+        # form one run of the circle; expand must still find every child.
         import anglepath.planner as planner
 
         def explicit(radius, hx, hy, alpha_max):
-            window, lo, hi = arc_window(radius, hx, hy, alpha_max)
-            offsets = tuple(window[lo:hi])
-            return offsets, 0, len(offsets)
+            return 0, arc_window(radius, hx, hy, alpha_max)[1]
 
         monkeypatch.setattr(planner, "arc_window", explicit)
         rng = random.Random(4)
@@ -368,6 +416,22 @@ class TestHugeDelta:
         assert time.perf_counter() - t0 < 5.0
         assert out.verdict is Verdict.NOT_FOUND
         assert out.stats.reinsertions == 2
+
+
+    def test_large_circle_in_range_respects_time_cap(self):
+        # Radius 600 lands in a 512x512 open map, and the goal is walled
+        # off, so the search runs until its time cap. Line of sight to the
+        # circle is tested per expansion, inside the search clock.
+        blocked = np.zeros((512, 512), dtype=bool)
+        blocked[500:, 500] = blocked[500, 500:] = True
+        grid = Grid(blocked)
+        cfg = PlannerConfig(mode="lian", delta_max=600, alpha_max=180, time_cap=0.2)
+        t0 = time.perf_counter()
+        out = search(grid, (0, 0), (510, 510), cfg)
+        assert time.perf_counter() - t0 < 0.2 + 2.0
+        assert out.verdict is Verdict.TIMEOUT
+        # The kept answers grow with the cells expanded, not with the map.
+        assert 1 <= len(grid.circle_tables[600]) <= out.stats.expansions
 
 
 class TestSearch:
@@ -513,6 +577,18 @@ class TestValidatePath:
         violation = validate_path(grid, [(0, 1), (2, 1)], 90)
         assert violation is not None
         assert violation.kind == "los" and violation.index == 0
+
+    def test_off_grid_waypoint_flagged_before_sight(self):
+        grid = parse_ascii_map("...\n...\n..#")
+        # (0,-1) -> (2,1) was once read from wrapped flat indices as clear.
+        for path, index in (
+            ([(0, -1), (2, 1)], 0),
+            ([(0, 0), (2, 2), (3, 2)], 2),  # (2,2) is blocked, but (3,2) is off
+            ([(0, 0), (5, 5), (1, 1)], 1),
+        ):
+            violation = validate_path(grid, path, 180)
+            assert violation is not None
+            assert (violation.kind, violation.index) == ("bounds", index), path
 
     def test_short_path_rejected(self):
         grid = empty_grid(3)
