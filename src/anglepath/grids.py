@@ -46,7 +46,7 @@ def _free_runs(blocked: np.ndarray) -> np.ndarray:
 
 
 class Grid:
-    """Immutable occupancy map of blocked and unblocked cells.
+    """Occupancy map of blocked and unblocked cells, fixed once built.
 
     Besides the boolean matrix it carries row-major byte tables for the
     search hot loop: ``_flat`` holds 1 for a blocked cell, and

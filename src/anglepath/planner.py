@@ -21,7 +21,6 @@ from enum import Enum
 from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
-    circle_offsets,
     circle_steps,
     circle_visibility,
     euclid,
@@ -137,23 +136,21 @@ def delta_levels(cfg: PlannerConfig) -> tuple[float, ...]:
 class SearchNode:
     """One search state: a cell plus the cell it was reached from.
 
-    ``level`` indexes the delta ladder; ``delta`` always equals
-    ``levels[level]`` of the owning search.
+    ``level`` indexes the delta ladder of the owning search.
     """
 
-    __slots__ = ("cell", "parent", "g", "f", "level", "delta")
+    __slots__ = ("cell", "parent", "g", "f", "level")
 
-    def __init__(self, cell, parent, g, f, level, delta):
+    def __init__(self, cell, parent, g, f, level):
         self.cell = cell
         self.parent = parent
         self.g = g
         self.f = f
         self.level = level
-        self.delta = delta
 
     def __repr__(self) -> str:
         bp = self.parent.cell if self.parent else None
-        return f"SearchNode({self.cell}, bp={bp}, g={self.g:.3f}, delta={self.delta:g})"
+        return f"SearchNode({self.cell}, bp={bp}, g={self.g:.3f}, level={self.level})"
 
 
 @dataclass
@@ -221,33 +218,20 @@ def validate_path(grid: Grid, path: list[Cell], alpha_max: float) -> PathViolati
     return None
 
 
-def delta_successors(node: SearchNode, grid: Grid, goal: Cell) -> list[Cell]:
-    """Raw successor candidates: in-bounds circle cells, goal injected last.
-
-    The goal is appended when it lies strictly closer than the node's delta.
-    No line-of-sight or angle filtering happens here. Search.expand visits
-    only the turn-admissible part of these candidates; the tests use this
-    full list as its reference.
-    """
-    col, row = node.cell
-    width, height = grid.width, grid.height
-    radius = max(1, round(node.delta))
-    cells = []
-    for dc, dr in circle_offsets(radius):
-        c, r = col + dc, row + dr
-        if 0 <= c < width and 0 <= r < height:
-            cells.append((c, r))
-    if euclid(node.cell, goal) < node.delta and goal not in cells:
-        cells.append(goal)
-    return cells
-
-
 class Search:
     """Single-shot search over one grid; owns all mutable state.
 
-    The open list orders by smallest f, then largest g, then cell and
-    parent-cell coordinates, then insertion order, so runs are fully
-    deterministic.
+    An open-list entry is the tuple
+    ``(f, -g, col, row, pcol, prow, seq, parent, level, node)``. The first
+    seven fields are the sort key: smallest f, then largest g, then cell and
+    parent-cell coordinates ((-1, -1) for the start), then insertion order,
+    so runs are fully deterministic and no comparison reaches ``parent``.
+    ``parent`` is the expanded node the entry was generated from and
+    ``level`` its ladder level. ``node`` is None for a child pushed by
+    expand(): its SearchNode is built only when the entry is popped and its
+    (cell, parent cell) identity is not yet closed, so stale duplicates
+    allocate nothing. The start node and a reinserted node carry their own
+    SearchNode, which run() recognises as the closed entry's owner.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -266,21 +250,42 @@ class Search:
         self.closed: dict = {}  # (cell, parent cell) -> expanded node
         self.stats = SearchStats()
         self._seq = 0
-        self._deadline = None
         self._cos_threshold = turn_cos_threshold(cfg.alpha_max)
+        # Per ladder level, filled on its first expansion by _ring().
+        self._rings: list = [None] * len(self.levels)
+
+    def _ring(self, level: int) -> tuple:
+        # (radius, circle_steps, count, full mask, the grid's kept circle
+        # visibility for the radius) of a ladder level. A circle of radius
+        # >= 2 * max(width, height) lies farther out than any two cells are
+        # apart: it gets no steps and is skipped unrasterized.
+        grid = self.grid
+        radius = max(1, round(self.levels[level]))
+        if radius >= 2 * max(grid.width, grid.height):
+            ring = (radius, None, 0, 0, None)
+        else:
+            steps = circle_steps(radius)
+            count = len(steps)
+            ring = (radius, steps, count, (1 << count) - 1,
+                    grid.circle_tables.setdefault(radius, {}))
+        self._rings[level] = ring
+        return ring
 
     def _push(self, node: SearchNode) -> None:
-        pcell = node.parent.cell if node.parent is not None else (-1, -1)
+        # The start node and reinsertions; expand() pushes children itself.
+        parent = node.parent
+        pcol, prow = parent.cell if parent is not None else (-1, -1)
         self._seq += 1
         heapq.heappush(
             self.open,
-            (node.f, -node.g, node.cell[0], node.cell[1], pcell[0], pcell[1], self._seq, node),
+            (node.f, -node.g, node.cell[0], node.cell[1], pcol, prow, self._seq,
+             parent, node.level, node),
         )
         if len(self.open) > self.stats.max_open:
             self.stats.max_open = len(self.open)
 
     def _streak_reached(self, node: SearchNode) -> bool:
-        # True when success_streak nodes ending at `node` share its delta.
+        # True when success_streak nodes ending at `node` share its level.
         current = node
         for _ in range(self.cfg.success_streak - 1):
             parent = current.parent
@@ -296,35 +301,34 @@ class Search:
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
         plus the goal when it is closer than delta and within the turn
-        limit. circle_visibility() tests bounds and line of sight for the
-        offsets in the arc_window() of the node's heading, as bits, reusing
-        what earlier expansions of the cell on this grid found. Survivors
-        come in circle order from the arc's first offset, and those whose
-        (cell, parent cell) identity was already expanded are dropped.
-        The result equals filtering delta_successors(node) by the turn
-        test, line of sight and the closed set. If nothing survives, an
-        eLIAN node re-enters the open list with delta * k as long as that
-        stays within the ladder, otherwise it is discarded.
+        limit. Bounds and line of sight for the offsets in the arc_window()
+        of the node's heading come, as bits, from what earlier expansions
+        of the cell on this grid kept; circle_visibility() is asked only
+        when some of those offsets were never asked. Survivors come in
+        circle order from the arc's first offset, and those whose (cell,
+        parent cell) identity was already expanded are dropped. They are
+        pushed as lazy entries (see the class docstring). If nothing
+        survives, an eLIAN node re-enters the open list at the next ladder
+        level as long as there is one, otherwise it is discarded.
         """
-        cfg = self.cfg
-        grid = self.grid
-        closed = self.closed
-        goal = self.goal
         cell = node.cell
         col, row = cell
-        radius = max(1, round(node.delta))
+        level = node.level
+        radius, targets, count, full, table = self._rings[level] or self._ring(level)
         parent = node.parent
         if parent is not None:
             hx, hy = col - parent.cell[0], row - parent.cell[1]
+        closed = self.closed
         survivors = []
-        # A circle of radius >= 2 * max(width, height) lies farther out than
-        # any two cells are apart: skip it unrasterized.
-        if radius < 2 * max(grid.width, grid.height):
-            targets = circle_steps(radius)
-            count = len(targets)
-            full = (1 << count) - 1
-            lo, need = (0, full) if parent is None else arc_window(radius, hx, hy, cfg.alpha_max)
-            bits = circle_visibility(grid, cell, radius, need)
+        if targets is not None:
+            lo, need = (0, full) if parent is None else arc_window(
+                radius, hx, hy, self.cfg.alpha_max
+            )
+            bits = table.get(row * self.grid.width + col, 0)
+            if need & ~(bits >> count):
+                bits = circle_visibility(self.grid, cell, radius, need)
+            else:
+                bits &= need
             bits = (bits | bits << count) >> lo & full  # circle order from lo
             while bits:
                 low = bits & -bits
@@ -333,68 +337,88 @@ class Search:
                 cand = (col + dc, row + dr)
                 if (cand, cell) not in closed:
                     survivors.append((cand, step))
-        dg = euclid(cell, goal)
+        goal = self.goal
+        gcol, grow = goal
+        dg = math.hypot(gcol - col, grow - row)
         # A goal on the circle that circle_visibility rejected fails the same tests here.
-        if dg < node.delta and goal not in [cand for cand, _ in survivors]:
+        if dg < self.levels[level] and goal not in [cand for cand, _ in survivors]:
             keep = True
             if parent is not None:
-                dot = hx * (goal[0] - col) + hy * (goal[1] - row)
+                dot = hx * (gcol - col) + hy * (grow - row)
                 keep = dot >= self._cos_threshold * math.hypot(hx, hy) * dg
-            if keep and line_of_sight(grid, cell, goal) and (goal, cell) not in closed:
+            if keep and line_of_sight(self.grid, cell, goal) and (goal, cell) not in closed:
                 survivors.append((goal, dg))
 
+        stats = self.stats
         if survivors:
-            raise_level = (
-                node.level > 0
-                and node.parent is not None
-                and self._streak_reached(node)
-            )
-            child_level = node.level - 1 if raise_level else node.level
-            child_delta = self.levels[child_level]
-            for cand, step in survivors:
-                g = node.g + step
-                f = g + cfg.weight * euclid(cand, self.goal)
-                self._push(SearchNode(cand, node, g, f, child_level, child_delta))
-                self.stats.generated += 1
+            child_level = level
+            if level > 0 and parent is not None and self._streak_reached(node):
+                child_level -= 1
+            push = heapq.heappush
+            open_ = self.open
+            g0 = node.g
+            weight = self.cfg.weight
+            seq = self._seq
+            for (ccol, crow), step in survivors:
+                seq += 1
+                g = g0 + step
+                push(open_, (g + weight * math.hypot(gcol - ccol, grow - crow), -g,
+                             ccol, crow, col, row, seq, node, child_level, None))
+            self._seq = seq
+            stats.generated += len(survivors)
+            if len(open_) > stats.max_open:
+                stats.max_open = len(open_)
             return
 
-        if node.level + 1 < len(self.levels):
-            node.level += 1
-            node.delta = self.levels[node.level]
-            self.stats.reinsertions += 1
+        if level + 1 < len(self.levels):
+            node.level = level + 1
+            stats.reinsertions += 1
             self._push(node)
 
     def run(self) -> Outcome:
         cfg = self.cfg
-        t0 = time.perf_counter()
-        self._deadline = t0 + cfg.time_cap
-        h0 = euclid(self.start, self.goal)
-        self._push(SearchNode(self.start, None, 0.0, cfg.weight * h0, 0, self.levels[0]))
+        perf = time.perf_counter
+        t0 = perf()
+        deadline = t0 + cfg.time_cap
+        goal = self.goal
+        h0 = euclid(self.start, goal)
+        self._push(SearchNode(self.start, None, 0.0, cfg.weight * h0, 0))
 
+        open_ = self.open
+        closed = self.closed
+        stats = self.stats
+        pop = heapq.heappop
         verdict = Verdict.NOT_FOUND
         path = None
-        while self.open:
-            if time.perf_counter() > self._deadline:
+        while open_:
+            if perf() > deadline:
                 verdict = Verdict.TIMEOUT
                 break
-            entry = heapq.heappop(self.open)
-            node: SearchNode = entry[7]
-            if node.cell == self.goal:
+            f, neg_g, col, row, _, _, _, parent, level, node = pop(open_)
+            cell = (col, row)
+            if cell == goal:
                 verdict = Verdict.FOUND
-                path = reconstruct_path(node)
+                path = reconstruct_path(parent) + [cell]
                 break
-            ident = (node.cell, node.parent.cell if node.parent is not None else None)
-            prior = self.closed.get(ident)
-            if prior is not None and prior is not node:
-                # Stale duplicate of an identity already expanded via
-                # another open-list entry; nothing new to generate.
-                continue
-            self.closed[ident] = node
-            self.stats.expansions += 1
+            if node is None:
+                ident = (cell, parent.cell)
+                if ident in closed:
+                    # Stale duplicate of an identity already expanded via
+                    # another open-list entry; nothing new to generate.
+                    continue
+                node = SearchNode(cell, parent, -neg_g, f, level)
+            else:
+                # The start node or a reinsertion: expand it unless its
+                # identity was closed by another node.
+                ident = (cell, parent.cell if parent is not None else None)
+                if closed.get(ident, node) is not node:
+                    continue
+            closed[ident] = node
+            stats.expansions += 1
             self.expand(node)
 
-        self.stats.runtime = time.perf_counter() - t0
-        return Outcome(verdict, path, self.stats)
+        stats.runtime = perf() - t0
+        return Outcome(verdict, path, stats)
 
 
 def search(grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig) -> Outcome:

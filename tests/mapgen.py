@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 
 import numpy as np
 
@@ -145,23 +144,28 @@ def building_blocked(seed: int, size: int = 128, spacing=(18, 30), door=(3, 7),
 
 
 def _octile_distances(blocked: np.ndarray, start) -> np.ndarray:
-    """8-connected BFS step counts from start (inf where unreachable)."""
-    h, w = blocked.shape
-    dist = np.full((h, w), np.inf)
-    dist[start[1], start[0]] = 0.0
-    queue = deque([start])
-    while queue:
-        c, r = queue.popleft()
-        base = dist[r, c]
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                if dc == 0 and dr == 0:
-                    continue
-                cc, rr = c + dc, r + dr
-                if 0 <= cc < w and 0 <= rr < h and not blocked[rr, cc]:
-                    if dist[rr, cc] == np.inf:
-                        dist[rr, cc] = base + 1
-                        queue.append((cc, rr))
+    """8-connected BFS step counts from start (inf where unreachable).
+
+    The frontier advances one step at a time as a whole boolean matrix:
+    dilated by the 8 neighbour shifts, then kept on free, unreached cells.
+    """
+    free = ~blocked
+    dist = np.full(blocked.shape, np.inf)
+    frontier = np.zeros(blocked.shape, dtype=bool)
+    frontier[start[1], start[0]] = True
+    reached = frontier.copy()
+    steps = 0
+    while frontier.any():
+        dist[frontier] = steps
+        tall = frontier.copy()
+        tall[1:] |= frontier[:-1]
+        tall[:-1] |= frontier[1:]
+        grown = tall.copy()
+        grown[:, 1:] |= tall[:, :-1]
+        grown[:, :-1] |= tall[:, 1:]
+        frontier = grown & free & ~reached
+        reached |= frontier
+        steps += 1
     return dist
 
 

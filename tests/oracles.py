@@ -3,8 +3,10 @@
 Each oracle derives its answer by a different route than the production
 code: the line-of-sight oracle clips the segment against every cell square
 with exact integer arithmetic, the circle oracle rasterizes by per-row
-nearest-point search, and the reachability oracle exhaustively enumerates
-(cell, parent-cell) states with a plain FIFO queue.
+nearest-point search, the reachability oracle exhaustively enumerates
+(cell, parent-cell) states with a plain FIFO queue, and the successor
+oracle lists an expansion's raw candidates without the planner's arc and
+visibility tables.
 """
 
 from __future__ import annotations
@@ -118,6 +120,28 @@ def circle_oracle(radius: int) -> set[tuple[int, int]]:
             points.update(((px, py), (-px, py), (px, -py), (-px, -py)))
         y += 1
     return points
+
+
+# ---------------------------------------------------------------------------
+# Raw successor candidates
+
+
+def delta_successors(cell, delta, grid, goal) -> list[tuple[int, int]]:
+    """In-bounds cells of the circle of radius round(delta), goal injected last.
+
+    The goal is appended when it lies strictly closer than delta. No
+    line-of-sight or angle filtering happens here: the tests filter this
+    list one candidate at a time as the reference for Search.expand.
+    """
+    col, row = cell
+    cells = []
+    for dc, dr in circle_offsets(max(1, round(delta))):
+        c, r = col + dc, row + dr
+        if grid.in_bounds(c, r):
+            cells.append((c, r))
+    if euclid(cell, goal) < delta and goal not in cells:
+        cells.append(goal)
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from anglepath import (
     SearchNode,
     Verdict,
     delta_levels,
-    delta_successors,
     line_of_sight,
     parse_ascii_map,
     reconstruct_path,
@@ -24,7 +23,7 @@ from anglepath import (
     validate_path,
 )
 from anglepath.geometry import arc_window, circle_offsets, turn_cos_threshold
-from oracles import reachable
+from oracles import delta_successors, reachable
 
 LIAN20 = PlannerConfig(mode="lian", delta_max=20, alpha_max=25, weight=2, time_cap=10)
 
@@ -133,91 +132,106 @@ class TestConfig:
 class TestDeltaSuccessors:
     def test_unit_circle(self):
         grid = empty_grid(21)
-        node = SearchNode((10, 10), None, 0.0, 0.0, 0, 1.0)
-        cells = delta_successors(node, grid, (20, 20))
+        cells = delta_successors((10, 10), 1.0, grid, (20, 20))
         assert cells == [(11, 10), (10, 11), (9, 10), (10, 9)]
 
     def test_goal_injected_when_close(self):
         grid = empty_grid(21)
-        node = SearchNode((10, 10), None, 0.0, 0.0, 0, 20.0)
-        cells = delta_successors(node, grid, (15, 10))
+        cells = delta_successors((10, 10), 20.0, grid, (15, 10))
         assert (15, 10) in cells
         assert cells[-1] == (15, 10)
 
     def test_goal_not_injected_at_exact_delta(self):
         grid = empty_grid(41)
-        node = SearchNode((10, 10), None, 0.0, 0.0, 0, 20.0)
-        cells = delta_successors(node, grid, (30, 10))
+        cells = delta_successors((10, 10), 20.0, grid, (30, 10))
         # distance equals delta: not injected, but present as a circle cell
         assert cells.count((30, 10)) == 1
 
     def test_bounds_clipping(self):
         grid = empty_grid(3)
-        node = SearchNode((0, 0), None, 0.0, 0.0, 0, 2.0)
-        cells = delta_successors(node, grid, (2, 2))
+        cells = delta_successors((0, 0), 2.0, grid, (2, 2))
         assert set(cells) == {(2, 0), (2, 1), (1, 2), (0, 2)}
+
+
+# The walls around cell (4, 4) of a 9x9 grid.
+WALLED_IN = ((5, 3), (5, 4), (5, 5), (3, 5), (4, 5), (3, 3), (4, 3), (3, 4))
+
+
+def elian_cfg(dmax=20, dmin=5):
+    return PlannerConfig(
+        mode="elian", delta_max=dmax, delta_min=dmin, k=0.5, alpha_max=25,
+        weight=2, time_cap=10,
+    )
 
 
 def make_search(grid, start, goal, cfg):
     return Search(grid, start, goal, cfg)
 
 
-class TestExpand:
-    def cfg(self, dmax=20, dmin=5):
-        return PlannerConfig(
-            mode="elian", delta_max=dmax, delta_min=dmin, k=0.5, alpha_max=25,
-            weight=2, time_cap=10,
-        )
+def open_entries(search):
+    """(cell, parent cell, level, g, f) of each open entry, in push order."""
+    decoded = []
+    for f, neg_g, col, row, pcol, prow, _, parent, level, _ in sorted(
+        search.open, key=lambda entry: entry[6]
+    ):
+        parent_cell = None if parent is None else (pcol, prow)
+        assert parent_cell == (None if parent is None else parent.cell)
+        decoded.append(((col, row), parent_cell, level, -neg_g, f))
+    return decoded
 
+
+class TestExpand:
     def test_empty_successors_reinserts_at_halved_delta(self):
         # Walled-in cell: circle cells are out of bounds, goal fails sight.
         rows = ["........."] * 9
         blocked = np.zeros((9, 9), dtype=bool)
-        for c, r in ((5, 3), (5, 4), (5, 5), (3, 5), (4, 5), (3, 3), (4, 3), (3, 4)):
+        for c, r in WALLED_IN:
             blocked[r, c] = True
         grid = Grid(blocked)
-        s = make_search(grid, (4, 4), (8, 8), self.cfg())
-        node = SearchNode((4, 4), None, 0.0, 0.0, 0, 20.0)
+        s = make_search(grid, (4, 4), (8, 8), elian_cfg())
+        node = SearchNode((4, 4), None, 0.0, 0.0, 0)
         s.closed[((4, 4), None)] = node
         s.expand(node)
         assert s.stats.reinsertions == 1
-        assert node.delta == 10.0 and node.level == 1
-        assert len(s.open) == 1 and s.open[0][7] is node
+        assert node.level == 1 and s.levels[node.level] == 10.0
+        assert open_entries(s) == [((4, 4), None, 1, 0.0, 0.0)]
+        assert s.open[0][-1] is node  # a reinsertion carries its own node
 
     def test_delta_at_floor_discards_node(self):
         blocked = np.zeros((9, 9), dtype=bool)
-        for c, r in ((5, 3), (5, 4), (5, 5), (3, 5), (4, 5), (3, 3), (4, 3), (3, 4)):
+        for c, r in WALLED_IN:
             blocked[r, c] = True
         grid = Grid(blocked)
-        s = make_search(grid, (4, 4), (8, 8), self.cfg(dmax=20, dmin=5))
-        node = SearchNode((4, 4), None, 0.0, 0.0, 2, 5.0)  # already at delta_min
+        s = make_search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=5))
+        node = SearchNode((4, 4), None, 0.0, 0.0, 2)  # already at delta_min
         s.closed[((4, 4), None)] = node
         s.expand(node)
         assert s.stats.reinsertions == 0
         assert s.open == []
-        assert node.delta == 5.0
+        assert node.level == 2 and s.levels[node.level] == 5.0
 
     def test_streak_raises_successor_delta(self):
         grid = empty_grid(41)
-        s = make_search(grid, (0, 20), (40, 20), self.cfg())
-        grandparent = SearchNode((0, 20), None, 0.0, 0.0, 1, 10.0)
-        parent = SearchNode((10, 20), grandparent, 10.0, 0.0, 1, 10.0)
-        node = SearchNode((20, 20), parent, 20.0, 0.0, 1, 10.0)
+        s = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        grandparent = SearchNode((0, 20), None, 0.0, 0.0, 1)
+        parent = SearchNode((10, 20), grandparent, 10.0, 0.0, 1)
+        node = SearchNode((20, 20), parent, 20.0, 0.0, 1)
         s.expand(node)
         assert s.stats.generated > 0
-        for entry in s.open:
-            child = entry[7]
-            assert child.delta == 20.0 and child.level == 0
+        assert s.levels[0] == 20.0
+        for _, parent_cell, level, _, _ in open_entries(s):
+            assert parent_cell == (20, 20) and level == 0
 
     def test_no_streak_keeps_delta(self):
         grid = empty_grid(41)
-        s = make_search(grid, (0, 20), (40, 20), self.cfg())
-        parent = SearchNode((10, 20), None, 0.0, 0.0, 0, 20.0)
-        node = SearchNode((20, 20), parent, 10.0, 0.0, 1, 10.0)
+        s = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        parent = SearchNode((10, 20), None, 0.0, 0.0, 0)
+        node = SearchNode((20, 20), parent, 10.0, 0.0, 1)
         s.expand(node)
         assert s.stats.generated > 0
-        for entry in s.open:
-            assert entry[7].delta == 10.0
+        assert s.levels[1] == 10.0
+        for _, parent_cell, level, _, _ in open_entries(s):
+            assert parent_cell == (20, 20) and level == 1
 
     def test_streak_longer_chain(self):
         cfg = PlannerConfig(
@@ -226,29 +240,29 @@ class TestExpand:
         )
         grid = empty_grid(61)
         s = make_search(grid, (0, 30), (60, 30), cfg)
-        a = SearchNode((0, 30), None, 0.0, 0.0, 1, 10.0)
-        b = SearchNode((10, 30), a, 10.0, 0.0, 1, 10.0)
-        c = SearchNode((20, 30), b, 20.0, 0.0, 1, 10.0)
+        a = SearchNode((0, 30), None, 0.0, 0.0, 1)
+        b = SearchNode((10, 30), a, 10.0, 0.0, 1)
+        c = SearchNode((20, 30), b, 20.0, 0.0, 1)
         s.expand(c)  # chain of three at the same delta: raise
-        assert all(entry[7].delta == 20.0 for entry in s.open)
+        assert all(level == 0 for _, _, level, _, _ in open_entries(s))
         s2 = make_search(grid, (0, 30), (60, 30), cfg)
-        c2 = SearchNode((20, 30), b, 20.0, 0.0, 1, 10.0)
-        b.parent = SearchNode((0, 30), None, 0.0, 0.0, 0, 20.0)
+        c2 = SearchNode((20, 30), b, 20.0, 0.0, 1)
+        b.parent = SearchNode((0, 30), None, 0.0, 0.0, 0)
         s2.expand(c2)  # chain broken at depth two: keep
-        assert all(entry[7].delta == 10.0 for entry in s2.open)
+        assert all(level == 1 for _, _, level, _, _ in open_entries(s2))
 
     def test_closed_identities_pruned(self):
         grid = empty_grid(41)
-        s = make_search(grid, (0, 20), (40, 20), self.cfg())
-        node = SearchNode((20, 20), None, 0.0, 0.0, 0, 20.0)
+        s = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        node = SearchNode((20, 20), None, 0.0, 0.0, 0)
         s.expand(node)
-        first = {entry[7].cell for entry in s.open}
+        first = {cell for cell, _, _, _, _ in open_entries(s)}
         assert (40, 20) in first
-        s2 = make_search(grid, (0, 20), (40, 20), self.cfg())
+        s2 = make_search(grid, (0, 20), (40, 20), elian_cfg())
         s2.closed[((40, 20), (20, 20))] = "sentinel"
-        node2 = SearchNode((20, 20), None, 0.0, 0.0, 0, 20.0)
+        node2 = SearchNode((20, 20), None, 0.0, 0.0, 0)
         s2.expand(node2)
-        second = {entry[7].cell for entry in s2.open}
+        second = {cell for cell, _, _, _, _ in open_entries(s2)}
         assert second == first - {(40, 20)}
 
 
@@ -279,7 +293,7 @@ class TestExpandOrder:
         circle = circle_offsets(max(1, round(delta)))
         ok = [True] * len(circle)
         if heading is not None:
-            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0, 0, 0, delta)
+            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0, 0, 0)
             threshold = turn_cos_threshold(alpha)
             ok = [
                 heading[0] * dc + heading[1] * dr
@@ -294,9 +308,9 @@ class TestExpandOrder:
             target = (cell[0] + circle[i][0], cell[1] + circle[i][1])
             if ok[i] and line_of_sight(grid, cell, target):
                 expected.append(target)
-        node = SearchNode(cell, parent, 0.0, 0.0, 0, delta)
+        node = SearchNode(cell, parent, 0.0, 0.0, 0)
         s.expand(node)
-        pushed = [entry[7].cell for entry in sorted(s.open, key=lambda entry: entry[6])]
+        pushed = [cell for cell, _, _, _, _ in open_entries(s)]
         if pushed[len(expected):]:  # the injected goal comes last
             assert pushed[len(expected):] == [goal]
         assert pushed[: len(expected)] == expected
@@ -308,7 +322,7 @@ def full_scan_children(search, node):
     threshold = turn_cos_threshold(search.cfg.alpha_max)
     col, row = node.cell
     children = []
-    for cand in delta_successors(node, grid, search.goal):
+    for cand in delta_successors(node.cell, search.levels[node.level], grid, search.goal):
         if node.parent is not None:
             hx, hy = col - node.parent.cell[0], row - node.parent.cell[1]
             dc, dr = cand[0] - col, cand[1] - row
@@ -351,17 +365,22 @@ class TestExpandMatchesFullScan:
         s = make_search(grid, cell, goal, cfg)
         parent = None
         if heading is not None:
-            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0, delta)
-        node = SearchNode(cell, parent, 0.0, 0.0, 0, delta)
-        for cand in delta_successors(node, grid, goal):
+            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0)
+        node = SearchNode(cell, parent, 0.0, 0.0, 0)
+        for cand in delta_successors(cell, delta, grid, goal):
             if rng.random() < 0.3:
                 s.closed[(cand, cell)] = "sentinel"
         expected = full_scan_children(s, node)
         s.expand(node)
-        children = [entry[7].cell for entry in s.open]
+        entries = open_entries(s)
+        children = [child for child, _, _, _, _ in entries]
         assert len(children) == len(set(children))
         assert set(children) == set(expected)
         assert s.stats.generated == len(expected)
+        for child, parent_cell, level, g, f in entries:
+            assert (parent_cell, level) == (cell, 0)
+            assert g == node.g + math.hypot(child[0] - cell[0], child[1] - cell[1])
+            assert f == g + cfg.weight * math.hypot(goal[0] - child[0], goal[1] - child[1])
 
     def test_explicit_arc_fallback(self, monkeypatch):
         # arc_window starts at offset 0 when the admissible offsets do not
@@ -384,11 +403,11 @@ class TestExpandMatchesFullScan:
             cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
             s = make_search(grid, cell, goal, cfg)
             heading = (rng.randrange(-9, 10), rng.randrange(1, 10))
-            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0, delta)
-            node = SearchNode(cell, parent, 0.0, 0.0, 0, delta)
+            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0)
+            node = SearchNode(cell, parent, 0.0, 0.0, 0)
             expected = full_scan_children(s, node)
             s.expand(node)
-            assert sorted(entry[7].cell for entry in s.open) == sorted(expected)
+            assert sorted(cell for cell, _, _, _, _ in open_entries(s)) == sorted(expected)
 
 
 class TestHugeDelta:
@@ -534,6 +553,134 @@ class TestSearch:
         assert a.stats.expansions == b.stats.expansions
 
 
+class TestRunLoop:
+    def test_reinserted_node_pops_as_itself_one_level_down(self):
+        # The walled-in start dead-ends at every level of the 20/10/5 ladder.
+        blocked = np.zeros((9, 9), dtype=bool)
+        for c, r in WALLED_IN:
+            blocked[r, c] = True
+        s = make_search(Grid(blocked), (4, 4), (8, 8), elian_cfg())
+        expanded = []
+        expand = s.expand
+
+        def record(node):
+            expanded.append((node, node.level))
+            expand(node)
+
+        s.expand = record
+        out = s.run()
+        assert out.verdict is Verdict.NOT_FOUND
+        start = expanded[0][0]
+        assert [(node is start, level) for node, level in expanded] == [
+            (True, 0), (True, 1), (True, 2)
+        ]
+        assert (out.stats.expansions, out.stats.reinsertions) == (3, 2)
+        assert s.closed == {((4, 4), None): start}
+
+    def test_closed_identity_entry_skipped_unexpanded(self):
+        # Two expansions of cell (10, 15) from different parents both push a
+        # lazy entry for ((15, 15), (10, 15)); only the first may expand.
+        grid = empty_grid(30)
+        s = make_search(grid, (2, 15), (27, 15), PlannerConfig(
+            mode="lian", delta_max=5, alpha_max=25, weight=2, time_cap=10))
+        a = SearchNode((10, 15), SearchNode((5, 15), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
+        b = SearchNode((10, 15), SearchNode((5, 16), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
+        s.expand(a)
+        s.expand(b)
+        pushed = open_entries(s)
+        idents = [(cell, parent_cell) for cell, parent_cell, _, _, _ in pushed]
+        assert idents.count(((15, 15), (10, 15))) == 2
+        expanded = []
+        s.expand = expanded.append  # from here on expansions generate nothing
+        out = s.run()
+        assert out.verdict is Verdict.NOT_FOUND
+        # Every identity expands once, the start last (its f is the largest).
+        assert out.stats.expansions == len(expanded) == len(set(idents)) + 1
+        assert expanded[-1].cell == (2, 15)
+        [node] = [node for node in expanded if node.cell == (15, 15)]
+        assert node.parent is a  # the first-pushed entry of the pair
+        assert len(s.closed) == len(expanded)
+
+    def test_goal_reached_through_lazy_entry(self):
+        grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
+        s = make_search(grid, start, goal, elian_cfg(dmax=8, dmin=4))
+        out = s.run()
+        assert out.path == [(2, 24), (10, 23), (18, 24), (22, 23), (25, 21), (27, 18),
+                            (29, 10), (28, 4)]
+        # The goal's SearchNode is never built: the path is its parent's
+        # chain plus the goal cell.
+        assert all(cell != goal for cell, _ in s.closed)
+        parent = s.closed[(out.path[-2], out.path[-3])]
+        assert reconstruct_path(parent) + [goal] == out.path
+
+
+# (expansions, generated, reinsertions, max_open) per mapgen.corridor_suite()
+# instance; eLIAN-8-4 also pins the path. LIAN-8 finds none of them.
+LIAN8_STATS = (
+    (5, 4, 0, 3), (5, 4, 0, 3), (5, 4, 0, 3), (7, 6, 0, 3), (8, 7, 0, 4),
+    (5, 4, 0, 2), (10, 9, 0, 6), (4, 3, 0, 1), (15, 14, 0, 5), (19, 18, 0, 7),
+    (8, 7, 0, 3), (18, 17, 0, 6), (17, 16, 0, 5), (17, 16, 0, 5), (17, 16, 0, 5),
+    (11, 10, 0, 5), (16, 15, 0, 5), (22, 21, 0, 6), (12, 11, 0, 5), (16, 15, 0, 5),
+)
+ELIAN8_4 = (
+    ((8, 12, 2, 7), [(2, 23), (10, 23), (18, 21), (21, 19), (23, 16), (24, 12), (24, 4)]),
+    ((8, 12, 2, 7), [(2, 24), (10, 24), (18, 22), (21, 20), (23, 17), (24, 13), (24, 5)]),
+    ((7, 11, 1, 6), [(2, 24), (10, 24), (18, 22), (21, 20), (23, 17), (25, 9), (25, 4)]),
+    ((13, 11, 3, 3), [(2, 25), (10, 25), (18, 25), (26, 23), (29, 21), (31, 18), (32, 14),
+                      (32, 6), (32, 4)]),
+    ((16, 15, 4, 4), [(2, 26), (10, 26), (18, 26), (26, 24), (29, 22), (31, 19), (32, 15),
+                      (32, 7), (32, 5)]),
+    ((8, 11, 1, 5), [(2, 26), (10, 26), (18, 26), (26, 24), (29, 22), (31, 19), (33, 11),
+                     (33, 4)]),
+    ((20, 22, 5, 8), [(2, 27), (10, 27), (18, 27), (26, 25), (29, 23), (31, 20), (33, 12),
+                      (33, 5)]),
+    ((10, 10, 2, 3), [(2, 27), (10, 27), (18, 27), (25, 24), (28, 21), (30, 18), (31, 14),
+                      (31, 6), (31, 4)]),
+    ((13, 15, 4, 7), [(2, 20), (10, 19), (18, 20), (22, 19), (25, 17), (27, 14), (28, 10),
+                      (27, 4)]),
+    ((27, 28, 8, 10), [(2, 22), (10, 23), (18, 21), (21, 19), (23, 16), (25, 8), (25, 5)]),
+    ((11, 12, 3, 5), [(2, 22), (10, 22), (18, 20), (21, 18), (23, 15), (24, 11), (23, 4)]),
+    ((48, 38, 17, 9), [(2, 23), (10, 24), (18, 22), (21, 20), (24, 18), (26, 15), (27, 11),
+                       (26, 5)]),
+    ((31, 26, 9, 5), [(2, 22), (10, 22), (18, 23), (22, 22), (25, 20), (27, 17), (29, 9),
+                      (29, 4)]),
+    ((28, 23, 9, 5), [(2, 23), (10, 24), (18, 22), (22, 21), (25, 19), (27, 16), (28, 12),
+                      (27, 4)]),
+    ((23, 21, 7, 6), [(2, 23), (10, 23), (18, 23), (25, 20), (28, 17), (30, 14), (31, 10),
+                      (30, 4)]),
+    ((10, 16, 2, 9), [(2, 24), (10, 24), (18, 22), (21, 20), (23, 17), (25, 9), (25, 4)]),
+    ((13, 13, 3, 5), [(2, 24), (10, 23), (18, 24), (22, 23), (25, 21), (27, 18), (29, 10),
+                      (28, 4)]),
+    ((41, 35, 13, 8), [(2, 24), (10, 25), (18, 24), (22, 23), (25, 21), (28, 18), (31, 11),
+                       (31, 4)]),
+    ((20, 19, 6, 6), [(2, 25), (10, 26), (18, 24), (21, 22), (23, 19), (26, 12), (26, 4)]),
+    ((14, 19, 3, 9), [(2, 25), (10, 24), (18, 25), (22, 24), (25, 22), (27, 19), (29, 11),
+                      (29, 4)]),
+)
+
+
+class TestCorridorSuitePins:
+    # records.jsonl carries neither generated nor max_open; these pin them.
+    def stats(self, out):
+        s = out.stats
+        return s.expansions, s.generated, s.reinsertions, s.max_open
+
+    def test_lian_8(self):
+        cfg = PlannerConfig(mode="lian", delta_max=8, alpha_max=25, weight=2, time_cap=60)
+        for i, (grid, start, goal) in enumerate(mapgen.corridor_suite()):
+            out = search(grid, start, goal, cfg)
+            assert (out.verdict, out.path) == (Verdict.NOT_FOUND, None), i
+            assert self.stats(out) == LIAN8_STATS[i], i
+
+    def test_elian_8_4(self):
+        cfg = PlannerConfig(mode="elian", delta_max=8, delta_min=4, k=0.5, alpha_max=25,
+                            weight=2, time_cap=60)
+        for i, (grid, start, goal) in enumerate(mapgen.corridor_suite()):
+            out = search(grid, start, goal, cfg)
+            assert out.verdict is Verdict.FOUND, i
+            assert (self.stats(out), out.path) == ELIAN8_4[i], i
+
+
 def sum_len(path):
     return sum(math.dist(a, b) for a, b in zip(path, path[1:]))
 
@@ -545,9 +692,9 @@ class TestReconstruct:
         assert out.path == [(10, 10), (30, 10)]
 
     def test_chain_order(self):
-        a = SearchNode((0, 0), None, 0, 0, 0, 8.0)
-        b = SearchNode((8, 0), a, 8, 0, 0, 8.0)
-        c = SearchNode((16, 0), b, 16, 0, 0, 8.0)
+        a = SearchNode((0, 0), None, 0, 0, 0)
+        b = SearchNode((8, 0), a, 8, 0, 0)
+        c = SearchNode((16, 0), b, 16, 0, 0)
         assert reconstruct_path(c) == [(0, 0), (8, 0), (16, 0)]
 
     def test_corridor_endpoints_and_sight(self):
