@@ -21,25 +21,9 @@ EXIT_TIMEOUT = 2
 EXIT_INPUT_ERROR = 3
 
 DEFAULT_BENCH_CONFIGS = [
-    {"mode": "lian", "delta_max": 20, "alpha_max": 25, "weight": 2, "time_cap": 30},
-    {
-        "mode": "elian",
-        "delta_max": 20,
-        "delta_min": 10,
-        "k": 0.5,
-        "alpha_max": 25,
-        "weight": 2,
-        "time_cap": 30,
-    },
-    {
-        "mode": "elian",
-        "delta_max": 20,
-        "delta_min": 5,
-        "k": 0.5,
-        "alpha_max": 25,
-        "weight": 2,
-        "time_cap": 30,
-    },
+    {"mode": mode, "delta_max": 20, "delta_min": delta_min, "k": 0.5, "alpha_max": 25,
+     "weight": 2, "time_cap": 30}
+    for mode, delta_min in (("lian", 20), ("elian", 10), ("elian", 5))
 ]
 
 

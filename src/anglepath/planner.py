@@ -3,7 +3,7 @@
 Both planners move in straight jumps of length delta and reject successors
 that would turn the heading by more than alpha_max degrees. LIAN keeps
 delta fixed. eLIAN lets delta slide within [delta_min, delta_max]: when an
-expansion yields nothing, the node is re-queued with delta shrunk by the
+expansion yields nothing, the same expansion retries at delta shrunk by the
 factor k, and after success_streak consecutive successful expansions at the
 same delta the successors are handed delta / k again (never above
 delta_max). Setting delta_min = delta_max makes eLIAN degenerate exactly
@@ -32,6 +32,9 @@ from .grids import Cell, Grid, InputError, is_traversable
 
 LIAN = "lian"
 ELIAN = "elian"
+# The longest delta ladder a config may ask for. A dead end descends all of
+# its levels in one expansion, between two time_cap checks.
+MAX_LEVELS = 64
 
 
 class Verdict(str, Enum):
@@ -58,7 +61,9 @@ class PlannerConfig:
     """All planner tunables.
 
     ``delta_min`` defaults to ``delta_max`` (for mode="lian" it must equal
-    it). ``time_cap`` is wall-clock seconds checked once per expansion.
+    it) and must be at least 1, the smallest circle radius; the ladder
+    delta_levels() builds may have at most MAX_LEVELS levels. ``time_cap``
+    is wall-clock seconds checked once per popped open-list entry.
     Every numeric field must be a finite int or float (``success_streak``
     an int); bools are rejected.
     """
@@ -83,14 +88,17 @@ class PlannerConfig:
         _check_number("success_streak", self.success_streak, integer=True)
         if self.label is not None and not isinstance(self.label, str):
             raise InputError(f"label must be a string, got {self.label!r}")
-        if self.delta_max <= 0:
-            raise InputError("delta_max must be > 0")
-        if not 0 < self.delta_min <= self.delta_max:
-            raise InputError("need 0 < delta_min <= delta_max")
+        if not 1 <= self.delta_min <= self.delta_max:
+            raise InputError("need 1 <= delta_min <= delta_max")
         if self.mode == LIAN and self.delta_min != self.delta_max:
             raise InputError("mode 'lian' requires delta_min == delta_max")
         if not 0.0 < self.k < 1.0:
             raise InputError("k must lie in (0, 1)")
+        # Closed form first, so no list is built for an absurd ladder; the
+        # exact count can stray from it when k is within ~1e-13 of 1.
+        if (math.log((self.delta_min - 1e-9) / self.delta_max, self.k) >= MAX_LEVELS
+                or len(delta_levels(self)) > MAX_LEVELS):
+            raise InputError(f"the delta ladder must have at most {MAX_LEVELS} levels")
         if not 0.0 <= self.alpha_max <= 180.0:
             raise InputError("alpha_max must lie in [0, 180] degrees")
         if self.weight < 1.0:
@@ -124,7 +132,13 @@ class PlannerConfig:
 
 
 def delta_levels(cfg: PlannerConfig) -> tuple[float, ...]:
-    """The descending ladder of usable delta values: delta_max * k^i."""
+    """The descending ladder of usable delta values: delta_max * k^i.
+
+    A level's circle has radius max(1, round(delta)). round() is banker's
+    rounding, so 2.5 gives radius 2 but 3.5 gives 4, and neighbouring levels
+    may share a radius (20/5 at k=0.9 ends 7, 6, 6, 5). Repeated radii are
+    kept: dropping one would change the expansion and descent counts.
+    """
     levels = []
     value = cfg.delta_max
     while value >= cfg.delta_min - 1e-9:
@@ -155,6 +169,13 @@ class SearchNode:
 
 @dataclass
 class SearchStats:
+    """Counters of one search.
+
+    ``expansions`` counts a node once per ladder level it is expanded at.
+    ``reinsertions`` counts ladder descents, dead ends retried one level
+    down; the name stays because records.jsonl carries it.
+    """
+
     expansions: int = 0
     generated: int = 0
     reinsertions: int = 0
@@ -221,17 +242,17 @@ def validate_path(grid: Grid, path: list[Cell], alpha_max: float) -> PathViolati
 class Search:
     """Single-shot search over one grid; owns all mutable state.
 
-    An open-list entry is the tuple
-    ``(f, -g, col, row, pcol, prow, seq, parent, level, node)``. The first
-    seven fields are the sort key: smallest f, then largest g, then cell and
-    parent-cell coordinates ((-1, -1) for the start), then insertion order,
-    so runs are fully deterministic and no comparison reaches ``parent``.
-    ``parent`` is the expanded node the entry was generated from and
-    ``level`` its ladder level. ``node`` is None for a child pushed by
-    expand(): its SearchNode is built only when the entry is popped and its
-    (cell, parent cell) identity is not yet closed, so stale duplicates
-    allocate nothing. The start node and a reinserted node carry their own
-    SearchNode, which run() recognises as the closed entry's owner.
+    A (cell, parent cell) identity is one int, its key: on a W x H grid,
+    ``(col*H + row) * (W*H + 1) + pcol*H + prow + 1``, with 0 in place of
+    the parent part for the start. Keys sort like (col, row, pcol, prow)
+    with (-1, -1) for the start's parent, and ``closed`` is the set of
+    expanded keys. An open-list entry is ``(f, -g, key, seq, parent,
+    level)``. The first four fields are the sort key: smallest f, then
+    largest g, then key, then insertion order, so runs are fully
+    deterministic and no comparison reaches ``parent``, the expanded node
+    the entry was generated from (None for the start), or ``level``, its
+    ladder level. An entry's SearchNode is built only when it is popped and
+    its key is not yet closed, so stale duplicates allocate nothing.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -247,42 +268,35 @@ class Search:
         self.cfg = cfg
         self.levels = delta_levels(cfg)
         self.open: list = []
-        self.closed: dict = {}  # (cell, parent cell) -> expanded node
+        self.closed: set = set()  # keys of expanded identities
         self.stats = SearchStats()
         self._seq = 0
+        self._key_base = grid.width * grid.height + 1
         self._cos_threshold = turn_cos_threshold(cfg.alpha_max)
         # Per ladder level, filled on its first expansion by _ring().
         self._rings: list = [None] * len(self.levels)
 
     def _ring(self, level: int) -> tuple:
-        # (radius, circle_steps, count, full mask, the grid's kept circle
-        # visibility for the radius) of a ladder level. A circle of radius
-        # >= 2 * max(width, height) lies farther out than any two cells are
-        # apart: it gets no steps and is skipped unrasterized.
+        # (radius, circle_steps with each offset's key shift appended,
+        # count, full mask, the grid's kept circle visibility for the
+        # radius) of a ladder level. A circle of radius >= 2 * max(width,
+        # height) lies farther out than any two cells are apart: it gets no
+        # steps and is skipped unrasterized.
         grid = self.grid
         radius = max(1, round(self.levels[level]))
         if radius >= 2 * max(grid.width, grid.height):
             ring = (radius, None, 0, 0, None)
         else:
-            steps = circle_steps(radius)
+            height, base = grid.height, self._key_base
+            steps = tuple(
+                (dc, dr, step, (dc * height + dr) * base)
+                for dc, dr, step in circle_steps(radius)
+            )
             count = len(steps)
             ring = (radius, steps, count, (1 << count) - 1,
                     grid.circle_tables.setdefault(radius, {}))
         self._rings[level] = ring
         return ring
-
-    def _push(self, node: SearchNode) -> None:
-        # The start node and reinsertions; expand() pushes children itself.
-        parent = node.parent
-        pcol, prow = parent.cell if parent is not None else (-1, -1)
-        self._seq += 1
-        heapq.heappush(
-            self.open,
-            (node.f, -node.g, node.cell[0], node.cell[1], pcol, prow, self._seq,
-             parent, node.level, node),
-        )
-        if len(self.open) > self.stats.max_open:
-            self.stats.max_open = len(self.open)
 
     def _streak_reached(self, node: SearchNode) -> bool:
         # True when success_streak nodes ending at `node` share its level.
@@ -295,7 +309,7 @@ class Search:
         return True
 
     def expand(self, node: SearchNode) -> None:
-        """Generate successors of an expanded node, or shrink its delta.
+        """Generate successors of an expanded node, descending the ladder.
 
         Candidates are the in-bounds cells of the discrete circle at the
         node's delta whose turn from the node's heading stays within
@@ -305,88 +319,94 @@ class Search:
         of the node's heading come, as bits, from what earlier expansions
         of the cell on this grid kept; circle_visibility() is asked only
         when some of those offsets were never asked. Survivors come in
-        circle order from the arc's first offset, and those whose (cell,
-        parent cell) identity was already expanded are dropped. They are
-        pushed as lazy entries (see the class docstring). If nothing
-        survives, an eLIAN node re-enters the open list at the next ladder
-        level as long as there is one, otherwise it is discarded.
+        circle order from the arc's first offset, and those whose identity
+        was already expanded are dropped. They are pushed as lazy entries
+        (see the class docstring). If nothing survives and the ladder has a
+        next level, the node moves to it and the scan repeats there, counted
+        as one more expansion and one descent; at the last level it is
+        discarded.
         """
         cell = node.cell
         col, row = cell
-        level = node.level
-        radius, targets, count, full, table = self._rings[level] or self._ring(level)
         parent = node.parent
         if parent is not None:
             hx, hy = col - parent.cell[0], row - parent.cell[1]
-        closed = self.closed
-        survivors = []
-        if targets is not None:
-            lo, need = (0, full) if parent is None else arc_window(
-                radius, hx, hy, self.cfg.alpha_max
-            )
-            bits = table.get(row * self.grid.width + col, 0)
-            if need & ~(bits >> count):
-                bits = circle_visibility(self.grid, cell, radius, need)
-            else:
-                bits &= need
-            bits = (bits | bits << count) >> lo & full  # circle order from lo
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                dc, dr, step = targets[(lo + low.bit_length() - 1) % count]
-                cand = (col + dc, row + dr)
-                if (cand, cell) not in closed:
-                    survivors.append((cand, step))
-        goal = self.goal
-        gcol, grow = goal
-        dg = math.hypot(gcol - col, grow - row)
-        # A goal on the circle that circle_visibility rejected fails the same tests here.
-        if dg < self.levels[level] and goal not in [cand for cand, _ in survivors]:
-            keep = True
-            if parent is not None:
-                dot = hx * (gcol - col) + hy * (grow - row)
-                keep = dot >= self._cos_threshold * math.hypot(hx, hy) * dg
-            if keep and line_of_sight(self.grid, cell, goal) and (goal, cell) not in closed:
-                survivors.append((goal, dg))
-
-        stats = self.stats
-        if survivors:
-            child_level = level
-            if level > 0 and parent is not None and self._streak_reached(node):
-                child_level -= 1
-            push = heapq.heappush
-            open_ = self.open
-            g0 = node.g
-            weight = self.cfg.weight
-            seq = self._seq
-            for (ccol, crow), step in survivors:
-                seq += 1
-                g = g0 + step
-                push(open_, (g + weight * math.hypot(gcol - ccol, grow - crow), -g,
-                             ccol, crow, col, row, seq, node, child_level, None))
-            self._seq = seq
-            stats.generated += len(survivors)
-            if len(open_) > stats.max_open:
-                stats.max_open = len(open_)
-            return
-
-        if level + 1 < len(self.levels):
-            node.level = level + 1
+        grid, closed, stats, goal = self.grid, self.closed, self.stats, self.goal
+        gdc, gdr = goal[0] - col, goal[1] - row
+        dg = math.hypot(gdc, gdr)
+        base, ident = self._key_base, col * grid.height + row
+        key0 = ident * base + ident + 1  # a child's key less its offset's shift
+        goal_shift = (gdc * grid.height + gdr) * base
+        level = node.level
+        while True:
+            radius, targets, count, full, table = self._rings[level] or self._ring(level)
+            survivors = []
+            if targets is not None:
+                lo, need = (0, full) if parent is None else arc_window(
+                    radius, hx, hy, self.cfg.alpha_max
+                )
+                bits = table.get(row * grid.width + col, 0)
+                if need & ~(bits >> count):
+                    bits = circle_visibility(grid, cell, radius, need)
+                else:
+                    bits &= need
+                bits = (bits | bits << count) >> lo & full  # circle order from lo
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    target = targets[(lo + low.bit_length() - 1) % count]
+                    if key0 + target[3] not in closed:
+                        survivors.append(target)
+            # A goal on the circle that circle_visibility rejected fails the same tests here.
+            if dg < self.levels[level] and goal_shift not in [t[3] for t in survivors]:
+                keep = True
+                if parent is not None:
+                    keep = hx * gdc + hy * gdr >= self._cos_threshold * math.hypot(hx, hy) * dg
+                if keep and line_of_sight(grid, cell, goal) and key0 + goal_shift not in closed:
+                    survivors.append((gdc, gdr, dg, goal_shift))
+            if survivors:
+                break
+            if level + 1 == len(self.levels):
+                return
+            level += 1
+            node.level = level
             stats.reinsertions += 1
-            self._push(node)
+            stats.expansions += 1
+            # Drop the stale copies tying the node's (f, -g, key), which would
+            # pop before a re-queued node: max_open stays a re-queue's.
+            head = (node.f, -node.g, ident * base + (
+                0 if parent is None else parent.cell[0] * grid.height + parent.cell[1] + 1))
+            while self.open and self.open[0][:3] == head:
+                heapq.heappop(self.open)
+
+        child_level = level
+        if level > 0 and parent is not None and self._streak_reached(node):
+            child_level -= 1
+        push, open_, seq = heapq.heappush, self.open, self._seq
+        g0, weight = node.g, self.cfg.weight
+        for dc, dr, step, shift in survivors:
+            seq += 1
+            g = g0 + step
+            push(open_, (g + weight * math.hypot(gdc - dc, gdr - dr), -g, key0 + shift, seq,
+                         node, child_level))
+        self._seq = seq
+        stats.generated += len(survivors)
+        if len(open_) > stats.max_open:
+            stats.max_open = len(open_)
 
     def run(self) -> Outcome:
         cfg = self.cfg
         perf = time.perf_counter
         t0 = perf()
         deadline = t0 + cfg.time_cap
-        goal = self.goal
-        h0 = euclid(self.start, goal)
-        self._push(SearchNode(self.start, None, 0.0, cfg.weight * h0, 0))
+        height, base = self.grid.height, self._key_base
+        start, goal = self.start, self.goal
+        goal_keys = (goal[0] * height + goal[1]) * base
+        open_, closed, stats = self.open, self.closed, self.stats
+        heapq.heappush(open_, (cfg.weight * euclid(start, goal), -0.0,
+                               (start[0] * height + start[1]) * base, 0, None, 0))
+        stats.max_open = max(stats.max_open, len(open_))
 
-        open_ = self.open
-        closed = self.closed
-        stats = self.stats
         pop = heapq.heappop
         verdict = Verdict.NOT_FOUND
         path = None
@@ -394,28 +414,18 @@ class Search:
             if perf() > deadline:
                 verdict = Verdict.TIMEOUT
                 break
-            f, neg_g, col, row, _, _, _, parent, level, node = pop(open_)
-            cell = (col, row)
-            if cell == goal:
+            f, neg_g, key, _, parent, level = pop(open_)
+            if goal_keys <= key < goal_keys + base:
                 verdict = Verdict.FOUND
-                path = reconstruct_path(parent) + [cell]
+                path = reconstruct_path(parent) + [goal]
                 break
-            if node is None:
-                ident = (cell, parent.cell)
-                if ident in closed:
-                    # Stale duplicate of an identity already expanded via
-                    # another open-list entry; nothing new to generate.
-                    continue
-                node = SearchNode(cell, parent, -neg_g, f, level)
-            else:
-                # The start node or a reinsertion: expand it unless its
-                # identity was closed by another node.
-                ident = (cell, parent.cell if parent is not None else None)
-                if closed.get(ident, node) is not node:
-                    continue
-            closed[ident] = node
+            if key in closed:
+                # Stale duplicate of an identity already expanded via
+                # another open-list entry; nothing new to generate.
+                continue
+            closed.add(key)
             stats.expansions += 1
-            self.expand(node)
+            self.expand(SearchNode(divmod(key // base, height), parent, -neg_g, f, level))
 
         stats.runtime = perf() - t0
         return Outcome(verdict, path, stats)

@@ -11,6 +11,8 @@ visibility tables.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from fractions import Fraction
 from math import isqrt
@@ -183,3 +185,91 @@ def reachable(grid, start, goal, deltas, alpha_max) -> bool:
                 seen.add(state)
                 queue.append(state)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference search
+
+
+def reference_search(grid, start, goal, cfg):
+    """LIAN/eLIAN by the book: (verdict, path, stats) without the tables.
+
+    Identities are (cell, parent cell) tuples, successors are
+    delta_successors() filtered one candidate at a time, and a dead-end
+    node re-enters the open list one ladder level down, to be popped and
+    counted as an expansion again. Open entries sort on (f, -g, cell,
+    parent cell, insertion order) with (-1, -1) as the start's parent, and
+    children are pushed in circle order from the first offset of the
+    admissible arc (from offset 0 when the arc is empty, whole or not one
+    run), so ties break exactly as in the planner. time_cap is ignored.
+    """
+    from anglepath import SearchStats, Verdict, delta_levels
+    from anglepath.geometry import turn_cos_threshold
+
+    levels = delta_levels(cfg)
+    threshold = turn_cos_threshold(cfg.alpha_max)
+    stats = SearchStats()
+    open_, closed = [], {}
+    seq = 0
+
+    def push(node):  # node: [cell, parent node, g, f, level]
+        nonlocal seq
+        seq += 1
+        parent_cell = node[1][0] if node[1] else (-1, -1)
+        heapq.heappush(open_, (node[3], -node[2], node[0], parent_cell, seq, node))
+        stats.max_open = max(stats.max_open, len(open_))
+
+    def admissible(heading, dc, dr):
+        hx, hy = heading
+        return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
+
+    def streak(node):
+        current = node
+        for _ in range(cfg.success_streak - 1):
+            current = current[1]
+            if current is None or current[4] != node[4]:
+                return False
+        return True
+
+    push([start, None, 0.0, cfg.weight * euclid(start, goal), 0])
+    while open_:
+        *_, node = heapq.heappop(open_)
+        cell, parent, g, _, level = node
+        if cell == goal:
+            path = []
+            while node is not None:
+                path.append(node[0])
+                node = node[1]
+            return Verdict.FOUND, path[::-1], stats
+        ident = (cell, parent[0] if parent else None)
+        if ident in closed and closed[ident] is not node:
+            continue
+        closed[ident] = node
+        stats.expansions += 1
+        heading = (cell[0] - parent[0][0], cell[1] - parent[0][1]) if parent else None
+        circle = circle_offsets(max(1, round(levels[level])))
+        ok = [heading is None or admissible(heading, dc, dr) for dc, dr in circle]
+        starts = [i for i in range(len(circle)) if ok[i] and not ok[i - 1]]
+        first = starts[0] if len(starts) == 1 else 0
+        order = {off: (i - first) % len(circle) for i, off in enumerate(circle)}
+        children = []
+        for cand in delta_successors(cell, levels[level], grid, goal):
+            dc, dr = cand[0] - cell[0], cand[1] - cell[1]
+            if heading is not None and not admissible(heading, dc, dr):
+                continue
+            if line_of_sight(grid, cell, cand) and (cand, cell) not in closed:
+                children.append(cand)
+        # The injected goal, if any, stays last; the circle cells go in arc order.
+        children.sort(key=lambda c: order.get((c[0] - cell[0], c[1] - cell[1]), len(circle)))
+        if not children:
+            if level + 1 < len(levels):
+                node[4] = level + 1
+                stats.reinsertions += 1
+                push(node)
+            continue
+        child_level = level - 1 if level > 0 and parent and streak(node) else level
+        for child in children:
+            cg = g + euclid(cell, child)
+            push([child, node, cg, cg + cfg.weight * euclid(child, goal), child_level])
+        stats.generated += len(children)
+    return Verdict.NOT_FOUND, None, stats

@@ -87,6 +87,16 @@ class TestPlan:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta_min", ["1e-10", "0.5"])
+    def test_sub_unit_delta_min_exit_three(self, open_map, capsys, delta_min):
+        # Below radius 1 the ladder would never end; the config is refused.
+        t0 = time.perf_counter()
+        code = main(["plan", "--map", str(open_map), "--start", "5,20", "--goal", "25,20",
+                     "--alg", "elian", "--delta-max", "20", "--delta-min", delta_min])
+        assert code == 3
+        assert "delta_min" in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 5.0
+
     def test_missing_map_exit_three(self, tmp_path):
         code = main(["plan", "--map", str(tmp_path / "nope.map"), "--start", "0,0",
                      "--goal", "1,1"])

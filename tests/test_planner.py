@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mapgen
@@ -23,7 +23,8 @@ from anglepath import (
     validate_path,
 )
 from anglepath.geometry import arc_window, circle_offsets, turn_cos_threshold
-from oracles import delta_successors, reachable
+from anglepath.planner import MAX_LEVELS
+from oracles import delta_successors, reachable, reference_search
 
 LIAN20 = PlannerConfig(mode="lian", delta_max=20, alpha_max=25, weight=2, time_cap=10)
 
@@ -90,6 +91,11 @@ class TestConfig:
             {"success_streak": True},
             {"success_streak": 2.0},
             {"label": 7},
+            {"delta_max": 0.5},  # no circle is smaller than radius 1
+            {"mode": "elian", "delta_max": 20, "delta_min": 1e-10},
+            {"mode": "elian", "delta_max": 20, "delta_min": 0.999},
+            {"mode": "elian", "delta_max": 1e9, "delta_min": 1, "k": 0.999999},
+            {"mode": "elian", "delta_max": 20, "delta_min": 1, "k": 1 - 2**-52},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -118,6 +124,69 @@ class TestConfig:
         cfg2 = PlannerConfig(mode="elian", delta_max=8, delta_min=5, k=0.5)
         assert delta_levels(cfg2) == (8.0,)
         assert delta_levels(LIAN20) == (20.0,)
+
+    def test_levels_bounded(self):
+        # 2^63 halves down to 1 in 64 levels; one more level is refused.
+        cfg = PlannerConfig(mode="elian", delta_max=2.0**63, delta_min=1, k=0.5)
+        assert len(delta_levels(cfg)) == MAX_LEVELS == 64
+        with pytest.raises(InputError, match="at most 64 levels"):
+            PlannerConfig(mode="elian", delta_max=2.0**64, delta_min=1, k=0.5)
+
+    def test_levels_keep_repeated_radii(self):
+        # round() is banker's rounding: 2.5 rounds to 2, 3.5 to 4.
+        radii = [max(1, round(d)) for d in delta_levels(
+            PlannerConfig(mode="elian", delta_max=20, delta_min=5, k=0.9))]
+        assert radii[-4:] == [7, 6, 6, 5]
+        cfg = PlannerConfig(mode="elian", delta_max=7, delta_min=1.75, k=0.5)
+        assert [max(1, round(d)) for d in delta_levels(cfg)] == [7, 4, 2]
+        cfg = PlannerConfig(mode="elian", delta_max=5, delta_min=1.25, k=0.5)
+        assert [max(1, round(d)) for d in delta_levels(cfg)] == [5, 2, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(["mode", "delta_max", "delta_min", "k", "alpha_max", "weight",
+                         "time_cap", "success_streak", "label", "bogus"]),
+        st.one_of(
+            st.sampled_from(["lian", "elian"]),
+            st.floats(1, 1e12),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+            st.floats(1 - 1e-12, 1, exclude_max=True),
+            st.floats(),
+            st.integers(-5, 10**20),
+            st.booleans(),
+            st.none(),
+            st.text(max_size=3),
+        ),
+    ))
+    def test_from_dict_fuzz(self, data):
+        # Any dict either fails with InputError or gives a config whose
+        # ladder is short and quick to build.
+        t0 = time.perf_counter()
+        try:
+            cfg = PlannerConfig.from_dict(data)
+        except InputError:
+            return
+        assert 1 <= len(delta_levels(cfg)) <= MAX_LEVELS
+        assert time.perf_counter() - t0 < 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1, 1e15),
+        st.floats(0, 1),
+        st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                  st.floats(1 - 1e-12, 1, exclude_max=True)),
+    )
+    def test_elian_ladders_bounded(self, dmax, frac, k):
+        t0 = time.perf_counter()
+        try:
+            cfg = PlannerConfig(mode="elian", delta_max=dmax,
+                                delta_min=max(1.0, dmax * frac), k=k)
+        except InputError:
+            return
+        levels = delta_levels(cfg)
+        assert 1 <= len(levels) <= MAX_LEVELS
+        assert levels[0] == dmax and levels[-1] >= cfg.delta_min - 1e-9
+        assert time.perf_counter() - t0 < 0.5
 
     def test_levels_tolerate_float_noise(self):
         # 20 * 0.3 * 0.3 lands a hair under 1.8; the floor must still admit it.
@@ -168,34 +237,62 @@ def make_search(grid, start, goal, cfg):
     return Search(grid, start, goal, cfg)
 
 
+def ident_key(search, cell, parent_cell=None):
+    """The packed key of a (cell, parent cell) identity, as in Search."""
+    height = search.grid.height
+    parent_part = 0 if parent_cell is None else parent_cell[0] * height + parent_cell[1] + 1
+    return (cell[0] * height + cell[1]) * (search.grid.width * height + 1) + parent_part
+
+
+def decode_key(search, key):
+    """(cell, parent cell) of a packed key; the start's parent is None."""
+    height = search.grid.height
+    ident, parent_part = divmod(key, search.grid.width * height + 1)
+    return divmod(ident, height), None if parent_part == 0 else divmod(parent_part - 1, height)
+
+
 def open_entries(search):
     """(cell, parent cell, level, g, f) of each open entry, in push order."""
     decoded = []
-    for f, neg_g, col, row, pcol, prow, _, parent, level, _ in sorted(
-        search.open, key=lambda entry: entry[6]
-    ):
-        parent_cell = None if parent is None else (pcol, prow)
+    for f, neg_g, key, _, parent, level in sorted(search.open, key=lambda entry: entry[3]):
+        cell, parent_cell = decode_key(search, key)
+        assert ident_key(search, cell, parent_cell) == key
         assert parent_cell == (None if parent is None else parent.cell)
-        decoded.append(((col, row), parent_cell, level, -neg_g, f))
+        decoded.append((cell, parent_cell, level, -neg_g, f))
     return decoded
 
 
 class TestExpand:
     def test_empty_successors_reinserts_at_halved_delta(self):
         # Walled-in cell: circle cells are out of bounds, goal fails sight.
-        rows = ["........."] * 9
+        # One expand call descends the 20/10 ladder and pushes nothing.
         blocked = np.zeros((9, 9), dtype=bool)
         for c, r in WALLED_IN:
             blocked[r, c] = True
         grid = Grid(blocked)
-        s = make_search(grid, (4, 4), (8, 8), elian_cfg())
+        s = make_search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=10))
         node = SearchNode((4, 4), None, 0.0, 0.0, 0)
-        s.closed[((4, 4), None)] = node
+        s.closed.add(ident_key(s, (4, 4)))
         s.expand(node)
-        assert s.stats.reinsertions == 1
+        assert (s.stats.reinsertions, s.stats.expansions) == (1, 1)
         assert node.level == 1 and s.levels[node.level] == 10.0
-        assert open_entries(s) == [((4, 4), None, 1, 0.0, 0.0)]
-        assert s.open[0][-1] is node  # a reinsertion carries its own node
+        assert s.open == [] and s.stats.generated == 0
+
+    def test_dead_end_descends_and_generates_in_one_call(self):
+        # Radius 20 leaves the 21x21 grid from its centre and a wall hides
+        # the goal; the children come from the radius-10 circle, at level 1.
+        blocked = np.zeros((21, 21), dtype=bool)
+        blocked[19, 19] = True
+        s = make_search(Grid(blocked), (10, 10), (20, 20), elian_cfg())
+        node = SearchNode((10, 10), None, 0.0, 0.0, 0)
+        s.expand(node)
+        assert (s.stats.reinsertions, s.stats.expansions) == (1, 1)
+        assert node.level == 1
+        entries = open_entries(s)
+        assert len(entries) == s.stats.generated == len(circle_offsets(10))
+        for cell, parent_cell, level, g, _ in entries:
+            assert (parent_cell, level) == ((10, 10), 1)
+            assert g == math.hypot(cell[0] - 10, cell[1] - 10)
 
     def test_delta_at_floor_discards_node(self):
         blocked = np.zeros((9, 9), dtype=bool)
@@ -204,7 +301,7 @@ class TestExpand:
         grid = Grid(blocked)
         s = make_search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=5))
         node = SearchNode((4, 4), None, 0.0, 0.0, 2)  # already at delta_min
-        s.closed[((4, 4), None)] = node
+        s.closed.add(ident_key(s, (4, 4)))
         s.expand(node)
         assert s.stats.reinsertions == 0
         assert s.open == []
@@ -259,7 +356,7 @@ class TestExpand:
         first = {cell for cell, _, _, _, _ in open_entries(s)}
         assert (40, 20) in first
         s2 = make_search(grid, (0, 20), (40, 20), elian_cfg())
-        s2.closed[((40, 20), (20, 20))] = "sentinel"
+        s2.closed.add(ident_key(s2, (40, 20), (20, 20)))
         node2 = SearchNode((20, 20), None, 0.0, 0.0, 0)
         s2.expand(node2)
         second = {cell for cell, _, _, _, _ in open_entries(s2)}
@@ -328,7 +425,8 @@ def full_scan_children(search, node):
             dc, dr = cand[0] - col, cand[1] - row
             if hx * dc + hy * dr < threshold * math.hypot(hx, hy) * math.hypot(dc, dr):
                 continue
-        if line_of_sight(grid, node.cell, cand) and (cand, node.cell) not in search.closed:
+        if (line_of_sight(grid, node.cell, cand)
+                and ident_key(search, cand, node.cell) not in search.closed):
             children.append(cand)
     return children
 
@@ -369,7 +467,7 @@ class TestExpandMatchesFullScan:
         node = SearchNode(cell, parent, 0.0, 0.0, 0)
         for cand in delta_successors(cell, delta, grid, goal):
             if rng.random() < 0.3:
-                s.closed[(cand, cell)] = "sentinel"
+                s.closed.add(ident_key(s, cand, cell))
         expected = full_scan_children(s, node)
         s.expand(node)
         entries = open_entries(s)
@@ -555,7 +653,9 @@ class TestSearch:
 
 class TestRunLoop:
     def test_reinserted_node_pops_as_itself_one_level_down(self):
-        # The walled-in start dead-ends at every level of the 20/10/5 ladder.
+        # The walled-in start dead-ends at every level of the 20/10/5 ladder:
+        # a single expand call descends it to level 2, each level counted as
+        # an expansion, and the search ends with the open list empty.
         blocked = np.zeros((9, 9), dtype=bool)
         for c, r in WALLED_IN:
             blocked[r, c] = True
@@ -564,18 +664,16 @@ class TestRunLoop:
         expand = s.expand
 
         def record(node):
-            expanded.append((node, node.level))
+            expanded.append((node.cell, node.level))
             expand(node)
+            expanded.append((node.cell, node.level))
 
         s.expand = record
         out = s.run()
         assert out.verdict is Verdict.NOT_FOUND
-        start = expanded[0][0]
-        assert [(node is start, level) for node, level in expanded] == [
-            (True, 0), (True, 1), (True, 2)
-        ]
+        assert expanded == [((4, 4), 0), ((4, 4), 2)]
         assert (out.stats.expansions, out.stats.reinsertions) == (3, 2)
-        assert s.closed == {((4, 4), None): start}
+        assert s.closed == {ident_key(s, (4, 4))}
 
     def test_closed_identity_entry_skipped_unexpanded(self):
         # Two expansions of cell (10, 15) from different parents both push a
@@ -604,14 +702,86 @@ class TestRunLoop:
     def test_goal_reached_through_lazy_entry(self):
         grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
         s = make_search(grid, start, goal, elian_cfg(dmax=8, dmin=4))
+        expanded = []
+        expand = s.expand
+
+        def record(node):
+            expanded.append(node)
+            expand(node)
+
+        s.expand = record
         out = s.run()
         assert out.path == [(2, 24), (10, 23), (18, 24), (22, 23), (25, 21), (27, 18),
                             (29, 10), (28, 4)]
         # The goal's SearchNode is never built: the path is its parent's
         # chain plus the goal cell.
-        assert all(cell != goal for cell, _ in s.closed)
-        parent = s.closed[(out.path[-2], out.path[-3])]
+        assert all(node.cell != goal for node in expanded)
+        assert all(decode_key(s, key)[0] != goal for key in s.closed)
+        assert ident_key(s, out.path[-2], out.path[-3]) in s.closed
+        [parent] = [node for node in expanded[1:]
+                    if (node.cell, node.parent.cell) == (out.path[-2], out.path[-3])]
         assert reconstruct_path(parent) + [goal] == out.path
+
+
+def differential_instance(seed, mirror):
+    """A random grid with start and goal, or None; mirror=True makes the
+    grid symmetric about the start's row and puts the goal on that row, so
+    mirrored paths tie on f and g and reach identities from two parents."""
+    rng = random.Random(seed)
+    width, half = rng.randrange(6, 26), rng.randrange(2, 11)
+    density = rng.choice([0.0, 0.1, 0.2, 0.3])
+    blocked = np.array([[rng.random() < density for _ in range(width)]
+                        for _ in range(2 * half + 1)], dtype=bool)
+    if mirror:
+        blocked[half + 1:] = blocked[:half][::-1]
+        free = [(c, half) for c in range(width) if not blocked[half, c]]
+    else:
+        free = [(c, r) for r in range(2 * half + 1) for c in range(width)
+                if not blocked[r, c]]
+    if len(free) < 2:
+        return None
+    return Grid(blocked), *rng.sample(free, 2)
+
+
+DIFFERENTIAL_LADDERS = [
+    ("lian", 1, 1), ("lian", 4, 4), ("lian", 6, 6),
+    ("elian", 8, 2), ("elian", 6, 1), ("elian", 12, 3), ("elian", 10, 1.5),
+]
+
+
+class TestMatchesReferenceSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        mirror=st.booleans(),
+        alpha=st.sampled_from([20.0, 45.0, 90.0, 180.0]),
+        ladder=st.sampled_from(DIFFERENTIAL_LADDERS),
+        k=st.sampled_from([0.5, 0.7]),
+        weight=st.sampled_from([1.0, 2.0]),
+        streak=st.integers(1, 3),
+    )
+    # Mirrored paths tie: a dead end must drop the stale copies of its own
+    # entry, or max_open comes out one higher than the reference's.
+    @example(seed=302, mirror=True, alpha=180.0, ladder=("elian", 8, 2), k=0.7,
+             weight=2.0, streak=3)
+    @example(seed=10, mirror=True, alpha=180.0, ladder=("elian", 6, 1), k=0.5,
+             weight=1.0, streak=1)
+    def test_verdict_path_and_counters(self, seed, mirror, alpha, ladder, k, weight, streak):
+        inst = differential_instance(seed, mirror)
+        if inst is None:
+            return
+        grid, start, goal = inst
+        mode, dmax, dmin = ladder
+        cfg = PlannerConfig(mode=mode, delta_max=dmax, delta_min=dmin, k=k, alpha_max=alpha,
+                            weight=weight, success_streak=streak, time_cap=60)
+        out = search(grid, start, goal, cfg)
+        verdict, path, stats = reference_search(grid, start, goal, cfg)
+        assert (out.verdict, out.path) == (verdict, path)
+        assert self.counters(out.stats) == self.counters(stats)
+
+    @staticmethod
+    def counters(stats):
+        return stats.expansions, stats.generated, stats.reinsertions, stats.max_open
 
 
 # (expansions, generated, reinsertions, max_open) per mapgen.corridor_suite()
