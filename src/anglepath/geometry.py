@@ -6,14 +6,14 @@ use integer arithmetic only, so results are identical across platforms.
 The turn test is the one floating-point predicate; arc_window evaluates it
 with the same expression as the planner, so both agree bit for bit.
 
-line_of_sight() lists the cells of segment_cells() as row or column runs
-(a ray) and reads each run from the grid's free-run tables: a run is free
-when the table entry at its first cell covers its length. The planner asks
-circle_visibility() instead, which tests the same rays for the offsets of a
-delta circle that one expansion may move to, and keeps the answers on the
-grid as one bitmask per (radius, cell): a later expansion of that cell, in
-the same search or another one on the grid, reads them back and walks only
-the rays of offsets no earlier expansion asked for.
+A segment is tested as a ray: the cells of segment_cells() grouped into
+row or column runs, each read from the grid's free-run tables (a run is free
+when the table entry at its first cell covers its length), plus the corner
+pairs it pinches. sight_bits() is the one routine that runs this test: over
+the rays a bitmask selects, such as the delta-circle offsets one expansion
+may move to, answering with a bitmask. line_of_sight() asks it for a single
+ray. Everything here is a pure function of its arguments; the caches are
+lru_caches keyed by them, and the planner keeps its own per-grid memo.
 """
 
 from __future__ import annotations
@@ -223,22 +223,12 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
     included); a corner crossed exactly is passable unless both diagonal
     cells pinching it are blocked. Either cell out of bounds gives False.
     """
-    col, row = a
     width, height = grid.width, grid.height
-    if not (0 <= col < width and 0 <= row < height
+    if not (0 <= a[0] < width and 0 <= a[1] < height
             and 0 <= b[0] < width and 0 <= b[1] < height):
         return False
-    along_rows, runs, pairs = ray(width, b[0] - col, b[1] - row)
-    base = row * width + col
-    free = grid.free_right if along_rows else grid.free_down
-    for off, length in runs:
-        if free[base + off] < length:
-            return False
-    occ = grid._flat
-    for off1, off2 in pairs:
-        if occ[base + off1] and occ[base + off2]:
-            return False
-    return True
+    offset = (b[0] - a[0], b[1] - a[1])
+    return sight_bits(grid, a, (offset,), (ray(width, *offset),), 1) == 1
 
 
 @lru_cache(maxsize=None)
@@ -248,9 +238,11 @@ def circle_steps(radius: int) -> tuple[tuple[int, int, float], ...]:
 
 
 @lru_cache(maxsize=None)
-def _circle_rays(width: int, height: int, radius: int) -> tuple[Ray | None, ...]:
-    # The rays of circle_offsets(radius); None for an offset that lands in
-    # a width x height grid from no cell.
+def circle_rays(width: int, height: int, radius: int) -> tuple[Ray | None, ...]:
+    """The rays of circle_offsets(radius) on a grid of this size.
+
+    None for an offset that lands in a width x height grid from no cell.
+    """
     return tuple(
         ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None
         for dc, dr in circle_offsets(radius)
@@ -264,45 +256,33 @@ def _set_bits(bits: int) -> tuple[int, ...]:
     return tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
 
 
-def circle_visibility(grid: Grid, cell: Cell, radius: int, need: int) -> int:
-    """Which of the delta-circle targets selected by ``need`` cell sees.
+def sight_bits(
+    grid: Grid, cell: Cell, offsets: tuple[Offset, ...], rays: tuple[Ray | None, ...], bits: int
+) -> int:
+    """Which of the offsets selected by ``bits`` the in-bounds cell sees.
 
-    Bit j of ``need`` selects offset j of circle_offsets(radius). Bit j of
-    the result is set iff it is selected, the target lies in the grid and
-    line_of_sight() holds from cell, which must be in bounds, to it. The
-    answers are kept on the grid: Grid.circle_tables maps the radius to a
-    dict from the cell's flat index to ``asked << n | seen`` (n offsets), so
-    no ray from a cell is walked twice on one grid, and the table grows by
-    at most one entry per call.
+    Bit j of ``bits`` selects offsets[j], whose ray is rays[j] at the
+    grid's width. Bit j of the result is set iff it is selected, the target
+    cell + offsets[j] lies in the grid, every run of the ray is free in the
+    grid's run tables and none of its corner pairs is sealed.
     """
     width, height = grid.width, grid.height
     col, row = cell
     base = row * width + col
-    circle = circle_offsets(radius)
-    count = len(circle)
-    table = grid.circle_tables.get(radius)
-    if table is None:
-        table = grid.circle_tables[radius] = {}
-    entry = table.get(base, 0)
-    missing = need & ~(entry >> count)
-    if missing:
-        entry |= missing << count
-        rays = _circle_rays(width, height, radius)
-        free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
-        for j in _set_bits(missing):
-            dc, dr = circle[j]
-            if 0 <= col + dc < width and 0 <= row + dr < height:
-                # line_of_sight's test, inlined: it runs once per ray.
-                along_rows, runs, pairs = rays[j]
-                free = free_right if along_rows else free_down
-                for off, length in runs:
-                    if free[base + off] < length:
+    free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
+    seen = 0
+    for j in _set_bits(bits):
+        dc, dr = offsets[j]
+        if 0 <= col + dc < width and 0 <= row + dr < height:
+            along_rows, runs, pairs = rays[j]
+            free = free_right if along_rows else free_down
+            for off, length in runs:
+                if free[base + off] < length:
+                    break
+            else:
+                for off1, off2 in pairs:
+                    if occ[base + off1] and occ[base + off2]:
                         break
                 else:
-                    for off1, off2 in pairs:
-                        if occ[base + off1] and occ[base + off2]:
-                            break
-                    else:
-                        entry |= 1 << j
-        table[base] = entry
-    return entry & need
+                    seen |= 1 << j
+    return seen

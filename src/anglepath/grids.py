@@ -55,10 +55,10 @@ class Grid:
     cells starting at flat index i is free iff ``free_right[i] >= n``
     (``free_down[i] >= n`` for a column run), for n <= MAX_RUN.
 
-    ``circle_tables`` holds the delta-circle visibility answers that
-    geometry.circle_visibility() has computed on this grid, per radius and
-    cell. It is derived data: pickling drops it and the unpickled grid
-    recomputes answers as they are asked for.
+    ``circle_tables`` is planner.Search's memo of delta-circle visibility
+    on this grid; only that class reads or writes it, and its docstring
+    gives the format. It is derived data: pickling drops it and searches
+    on the unpickled grid fill it again as they go.
     """
 
     __slots__ = (
@@ -123,7 +123,10 @@ class ScenarioSet:
 
 def _as_text(data: str | bytes) -> str:
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
     return data
 
 
@@ -149,7 +152,9 @@ def parse_map(data: str | bytes) -> Grid:
             if len(fields) != 2:
                 raise ParseError(f"line {idx + 1}: malformed type header: {raw!r}")
         elif key in ("height", "width"):
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) <= 0:
+            # isdigit() alone admits characters int() refuses, such as '²'.
+            if (len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit())
+                    or int(fields[1]) <= 0):
                 raise ParseError(f"line {idx + 1}: malformed {key} header: {raw!r}")
             if key == "height":
                 height = int(fields[1])
@@ -167,13 +172,14 @@ def parse_map(data: str | bytes) -> Grid:
         raise ParseError(
             f"line {body_start + 1}: expected {height} map rows, found {len(rows)}"
         )
-    blocked = np.zeros((height, width), dtype=bool)
-    for r, raw in enumerate(rows):
-        row = raw.rstrip("\r")
+    for r, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(
                 f"line {body_start + r + 1}: row length {len(row)} != width {width}"
             )
+    # Allocated only once every row matched the header's width, however large.
+    blocked = np.zeros((height, width), dtype=bool)
+    for r, row in enumerate(rows):
         for c, ch in enumerate(row):
             if ch in BLOCKED_CHARS:
                 blocked[r, c] = True
@@ -205,7 +211,7 @@ def parse_ascii_map(data: str | bytes) -> Grid:
 
 def load_map(path: str | Path) -> Grid:
     """Load a map file, auto-detecting MovingAI vs minimal ASCII format."""
-    text = Path(path).read_text()
+    text = _as_text(Path(path).read_bytes())
     if text.lstrip().lower().startswith("type"):
         return parse_map(text)
     return parse_ascii_map(text)
@@ -267,7 +273,7 @@ def parse_scen(data: str | bytes) -> ScenarioSet:
 
 
 def load_scen(path: str | Path) -> ScenarioSet:
-    return parse_scen(Path(path).read_text())
+    return parse_scen(Path(path).read_bytes())
 
 
 def is_traversable(grid: Grid, cell: Cell) -> bool:

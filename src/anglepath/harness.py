@@ -320,20 +320,7 @@ def aggregate(records: Sequence[RunRecord], baseline: str) -> AggregateReport:
     return AggregateReport(baseline=baseline, groups=tuple(groups))
 
 
-REPORT_COLUMNS = (
-    "algorithm",
-    "alpha_max",
-    "instances",
-    "solved",
-    "success_rate_pct",
-    "only_vs_baseline_pct",
-    "common_count",
-    "common_set_id",
-    "median_runtime_s",
-    "mean_path_length",
-    "mean_turn_angle_deg",
-    "normalized_turn_angle",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(AggregateGroup))
 
 
 def emit_report(report: AggregateReport, fmt: str = "csv") -> str:

@@ -21,10 +21,12 @@ from enum import Enum
 from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
+    circle_offsets,
+    circle_rays,
     circle_steps,
-    circle_visibility,
     euclid,
     line_of_sight,
+    sight_bits,
     turn_angle,
     turn_cos_threshold,
 )
@@ -94,11 +96,7 @@ class PlannerConfig:
             raise InputError("mode 'lian' requires delta_min == delta_max")
         if not 0.0 < self.k < 1.0:
             raise InputError("k must lie in (0, 1)")
-        # Closed form first, so no list is built for an absurd ladder; the
-        # exact count can stray from it when k is within ~1e-13 of 1.
-        if (math.log((self.delta_min - 1e-9) / self.delta_max, self.k) >= MAX_LEVELS
-                or len(delta_levels(self)) > MAX_LEVELS):
-            raise InputError(f"the delta ladder must have at most {MAX_LEVELS} levels")
+        delta_levels(self)  # raises on a ladder of more than MAX_LEVELS levels
         if not 0.0 <= self.alpha_max <= 180.0:
             raise InputError("alpha_max must lie in [0, 180] degrees")
         if self.weight < 1.0:
@@ -134,14 +132,21 @@ class PlannerConfig:
 def delta_levels(cfg: PlannerConfig) -> tuple[float, ...]:
     """The descending ladder of usable delta values: delta_max * k^i.
 
-    A level's circle has radius max(1, round(delta)). round() is banker's
-    rounding, so 2.5 gives radius 2 but 3.5 gives 4, and neighbouring levels
-    may share a radius (20/5 at k=0.9 ends 7, 6, 6, 5). Repeated radii are
-    kept: dropping one would change the expansion and descent counts.
+    It is just (delta_max,) when delta_min == delta_max, whatever k is. A
+    ladder that would need more than MAX_LEVELS levels raises InputError
+    before its next level is added. A level's circle has radius
+    max(1, round(delta)). round() is banker's rounding, so 2.5 gives radius
+    2 but 3.5 gives 4, and neighbouring levels may share a radius (20/5 at
+    k=0.9 ends 7, 6, 6, 5). Repeated radii are kept: dropping one would
+    change the expansion and descent counts.
     """
+    if cfg.delta_min == cfg.delta_max:
+        return (cfg.delta_max,)
     levels = []
     value = cfg.delta_max
     while value >= cfg.delta_min - 1e-9:
+        if len(levels) == MAX_LEVELS:
+            raise InputError(f"the delta ladder must have at most {MAX_LEVELS} levels")
         levels.append(value)
         value *= cfg.k
     return tuple(levels)
@@ -253,6 +258,12 @@ class Search:
     the entry was generated from (None for the start), or ``level``, its
     ladder level. An entry's SearchNode is built only when it is popped and
     its key is not yet closed, so stale duplicates allocate nothing.
+
+    Only this class reads or writes the grid's ``circle_tables``, a memo
+    that all searches on the grid share. Per radius it maps a cell's flat
+    index to ``asked << n | seen`` over the n offsets of circle_offsets():
+    bit j of ``asked`` is set once offset j was tested from the cell, bit j
+    of ``seen`` iff its target lies in the grid and in sight of the cell.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -278,14 +289,14 @@ class Search:
 
     def _ring(self, level: int) -> tuple:
         # (radius, circle_steps with each offset's key shift appended,
-        # count, full mask, the grid's kept circle visibility for the
-        # radius) of a ladder level. A circle of radius >= 2 * max(width,
-        # height) lies farther out than any two cells are apart: it gets no
-        # steps and is skipped unrasterized.
+        # count, full mask, the grid's memo for the radius, circle_offsets,
+        # circle_rays) of a ladder level. A circle of radius >= 2 *
+        # max(width, height) lies farther out than any two cells are apart:
+        # it gets no steps and is skipped unrasterized.
         grid = self.grid
         radius = max(1, round(self.levels[level]))
         if radius >= 2 * max(grid.width, grid.height):
-            ring = (radius, None, 0, 0, None)
+            ring = (radius, None, 0, 0, None, None, None)
         else:
             height, base = grid.height, self._key_base
             steps = tuple(
@@ -294,7 +305,8 @@ class Search:
             )
             count = len(steps)
             ring = (radius, steps, count, (1 << count) - 1,
-                    grid.circle_tables.setdefault(radius, {}))
+                    grid.circle_tables.setdefault(radius, {}), circle_offsets(radius),
+                    circle_rays(grid.width, grid.height, radius))
         self._rings[level] = ring
         return ring
 
@@ -316,10 +328,10 @@ class Search:
         alpha_max (all of them for the start node, which has no heading),
         plus the goal when it is closer than delta and within the turn
         limit. Bounds and line of sight for the offsets in the arc_window()
-        of the node's heading come, as bits, from what earlier expansions
-        of the cell on this grid kept; circle_visibility() is asked only
-        when some of those offsets were never asked. Survivors come in
-        circle order from the arc's first offset, and those whose identity
+        of the node's heading come, as bits, from the memo (see the class
+        docstring); sight_bits() walks only the rays of offsets it has no
+        answer for yet, and the cell's memo entry keeps them. Survivors come
+        in circle order from the arc's first offset, and those whose identity
         was already expanded are dropped. They are pushed as lazy entries
         (see the class docstring). If nothing survives and the ladder has a
         next level, the node moves to it and the scan repeats there, counted
@@ -335,21 +347,24 @@ class Search:
         gdc, gdr = goal[0] - col, goal[1] - row
         dg = math.hypot(gdc, gdr)
         base, ident = self._key_base, col * grid.height + row
+        flat = row * grid.width + col
         key0 = ident * base + ident + 1  # a child's key less its offset's shift
         goal_shift = (gdc * grid.height + gdr) * base
         level = node.level
         while True:
-            radius, targets, count, full, table = self._rings[level] or self._ring(level)
+            radius, targets, count, full, table, offsets, rays = (
+                self._rings[level] or self._ring(level))
             survivors = []
             if targets is not None:
                 lo, need = (0, full) if parent is None else arc_window(
                     radius, hx, hy, self.cfg.alpha_max
                 )
-                bits = table.get(row * grid.width + col, 0)
-                if need & ~(bits >> count):
-                    bits = circle_visibility(grid, cell, radius, need)
-                else:
-                    bits &= need
+                bits = table.get(flat, 0)
+                missing = need & ~(bits >> count)
+                if missing:
+                    bits |= missing << count | sight_bits(grid, cell, offsets, rays, missing)
+                    table[flat] = bits
+                bits &= need
                 bits = (bits | bits << count) >> lo & full  # circle order from lo
                 while bits:
                     low = bits & -bits
@@ -357,7 +372,7 @@ class Search:
                     target = targets[(lo + low.bit_length() - 1) % count]
                     if key0 + target[3] not in closed:
                         survivors.append(target)
-            # A goal on the circle that circle_visibility rejected fails the same tests here.
+            # A goal on the circle that sight_bits rejected fails the same tests here.
             if dg < self.levels[level] and goal_shift not in [t[3] for t in survivors]:
                 keep = True
                 if parent is not None:

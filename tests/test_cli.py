@@ -106,6 +106,17 @@ class TestPlan:
         code = main(["plan", "--map", str(open_map), "--start", "zap", "--goal", "1,1"])
         assert code == 3
 
+    @pytest.mark.parametrize("data", [
+        "type octile\nheight \u00b2\nwidth 2\nmap\n..\n".encode(),
+        b"type octile\nheight 1\nwidth 2\nmap\n.\xff\n",
+    ])
+    def test_malformed_map_exit_three(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.map"
+        path.write_bytes(data)
+        code = main(["plan", "--map", str(path), "--start", "0,0", "--goal", "1,0"])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
 
 def write_bench_inputs(tmp_path, seeds=(21, 22), size=64, count=3):
     scen_paths = []
@@ -177,6 +188,20 @@ class TestBench:
         code = main(["bench", "--scen", str(orphan), "--maps-dir", str(tmp_path),
                      "--out", str(tmp_path / "x")])
         assert code == 3
+
+    def test_non_utf8_files_exit_three(self, tmp_path, capsys):
+        scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)
+        bad_scen = tmp_path / "bad.scen"
+        bad_scen.write_bytes(scens[0].read_bytes().replace(b"m25", b"m\xe9"))
+        code = main(["bench", "--scen", str(bad_scen), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "UTF-8" in capsys.readouterr().err
+        # An undecodable map fails its scenario set, as an unparsable one does.
+        map_path = tmp_path / "m25.map"
+        map_path.write_bytes(map_path.read_bytes() + b"\xff\n")
+        code = main(["bench", "--scen", str(scens[0]), "--out", str(tmp_path / "y")])
+        assert code == 3
+        assert "bad map file" in capsys.readouterr().err
 
     def test_bad_configs_exit_three(self, tmp_path):
         scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)

@@ -13,8 +13,8 @@ from anglepath import (
     segment_cells,
     turn_angle,
 )
-from anglepath import geometry
-from anglepath.geometry import arc_window, circle_visibility, turn_cos_threshold
+from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
+from anglepath.geometry import arc_window, circle_rays, sight_bits, turn_cos_threshold
 from oracles import circle_oracle, los_oracle
 
 
@@ -307,7 +307,8 @@ def visible_offsets(grid, radius, cell, need=None):
     """The circle offsets selected by need (default all) that cell sees."""
     circle = circle_offsets(radius)
     full = (1 << len(circle)) - 1
-    bits = circle_visibility(grid, cell, radius, full if need is None else need)
+    rays = circle_rays(grid.width, grid.height, radius)
+    bits = sight_bits(grid, cell, circle, rays, full if need is None else need)
     assert bits & ~(full if need is None else need) == 0
     return arc_offsets(circle, 0, bits)
 
@@ -340,8 +341,7 @@ class TestVisibleTargets:
             for col in range(width):
                 cell = (col, row)
                 expected = expected_offsets(g, radius, cell, los_oracle)
-                # A first ask for some offsets, then one for all of them:
-                # later asks reuse the answers the grid kept.
+                # An ask for some offsets answers for those alone.
                 part = data.draw(st.integers(0, (1 << count) - 1))
                 asked = arc_offsets(circle_offsets(radius), 0, part)
                 assert visible_offsets(g, radius, cell, part) == [
@@ -353,7 +353,8 @@ class TestVisibleTargets:
                     assert line_of_sight(g, cell, target) == ((dc, dr) in expected)
 
     def test_answers_are_kept_on_the_grid(self, monkeypatch):
-        g = grid_of("...\n.#.\n...")
+        # Search.expand keeps what sight_bits answered per radius and cell,
+        # so no ray from a cell is walked twice on one grid.
         walked = []
 
         class CountingRays(tuple):
@@ -361,20 +362,33 @@ class TestVisibleTargets:
                 walked.append(j)
                 return tuple.__getitem__(self, j)
 
-        rays = geometry._circle_rays
-        monkeypatch.setattr(geometry, "_circle_rays", lambda *args: CountingRays(rays(*args)))
+        rays = planner.circle_rays
+        monkeypatch.setattr(planner, "circle_rays", lambda *args: CountingRays(rays(*args)))
+        cfg = PlannerConfig(mode="lian", delta_max=2, alpha_max=30)
+
+        def children(grid, parent):
+            # The cells pushed by expanding (0, 0) reached from parent (None: the start).
+            s = Search(grid, (0, 0), (2, 2), cfg)
+            back = None if parent is None else SearchNode(parent, None, 0.0, 0.0, 0)
+            s.expand(SearchNode((0, 0), back, 0.0, 0.0, 0))
+            return sorted(divmod(key // s._key_base, grid.height) for _, _, key, *_ in s.open)
+
+        g = grid_of("...\n.#.\n...")
         # 12 offsets at radius 2; from (0, 0) only (2, 0), (2, 1), (1, 2)
         # and (0, 2), bits 0-3, land, and the blocked centre hides two.
-        assert visible_offsets(g, 2, (0, 0), 0b100000000011) == [(2, 0)]
-        assert len(walked) == 2  # (2, -1), bit 11, is off the grid
-        assert visible_offsets(g, 2, (0, 0)) == [(2, 0), (0, 2)]
-        assert len(walked) == 4
-        assert visible_offsets(g, 2, (0, 0), 0b1110) == [(0, 2)]
+        # Heading east asks bits 0, 1 and 11.
+        assert children(g, (-1, 0)) == [(2, 0)]
+        assert walked == [0, 1]  # (2, -1), bit 11, is off the grid
+        assert children(g, None) == [(0, 2), (2, 0)]
+        assert walked == [0, 1, 2, 3]
+        assert children(g, (0, -1)) == [(0, 2)]  # heading south: bits 2-4
         assert len(walked) == 4  # every offset was asked before
         # One entry per asked cell: asked bits above the seen ones.
         assert g.circle_tables == {2: {0: 0xFFF << 12 | 0b1001}}
-        assert visible_offsets(grid_of("...\n.#.\n..."), 2, (0, 0), 0b11) == [(2, 0)]
-        assert len(walked) == 6  # a new grid keeps its own answers
+        fresh = grid_of("...\n.#.\n...")
+        assert fresh.circle_tables == {}
+        assert children(fresh, (-1, 0)) == [(2, 0)]
+        assert walked[4:] == [0, 1]  # a new grid keeps its own answers
 
     @pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
     def test_straight_rays_longer_than_a_table_entry(self, shape):

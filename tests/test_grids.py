@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mapgen
 from anglepath import (
@@ -8,6 +10,7 @@ from anglepath import (
     check_instance,
     is_traversable,
     load_map,
+    load_scen,
     parse_ascii_map,
     parse_map,
     parse_scen,
@@ -61,6 +64,8 @@ class TestParseMap:
             ("type octile\nheight 1\nwidth 2\nmap\n.z\n", "unknown terrain"),
             ("type octile\nheight 1\nmap\n..\n", "lacks height or width"),
             ("type octile\nheight x\nwidth 2\nmap\n..\n", "malformed height"),
+            ("type octile\nheight \u00b2\nwidth 2\nmap\n..\n", "malformed height"),
+            ("type octile\nheight 1\nwidth 10000000000000000\nmap\n..\n", "row length 2"),
             ("bogus 1\nheight 1\nwidth 2\nmap\n..\n", "unexpected header"),
             ("type octile\nheight 1\nwidth 2\n..\n", "unexpected header"),
         ],
@@ -148,6 +153,47 @@ class TestParseScen:
         assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("parse,load,data", [
+    (parse_map, load_map, SMALL_MAP.encode().replace(b".@", b".\xff")),
+    (parse_scen, load_scen, SCEN.encode().replace(b"maps/x", b"maps/\xe9")),
+])
+def test_non_utf8_rejected(tmp_path, parse, load, data):
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse(data)
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="UTF-8"):
+        load(path)
+
+
+def lines_of(*tokens):
+    # Text built from lines that are mostly near misses of valid input.
+    line = st.one_of(st.sampled_from(tokens), st.text(max_size=6), st.builds(
+        " ".join, st.lists(st.one_of(st.sampled_from(tokens), st.text(max_size=4),
+                                     st.integers(-2, 10**18).map(str)), max_size=9)))
+    return st.one_of(st.lists(line, max_size=8).map("\n".join), st.binary(max_size=64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines_of("type octile", "height", "width", "map", "2", "\u00b2", "..", ".@", "@T"))
+def test_parse_map_fuzz(data):
+    try:
+        grid = parse_map(data)
+    except ParseError:
+        return
+    assert grid.width * grid.height <= len(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines_of("version 1", "version", "0\tm.map\t8\t8\t1\t1\t2\t2\t1.5", "\t", "m.map",
+                "1e999", "nan", "-1"))
+def test_parse_scen_fuzz(data):
+    try:
+        parse_scen(data)
+    except ParseError:
+        pass
+
+
 class TestTraversable:
     def test_free_center(self):
         g = parse_ascii_map("...\n...\n...")
@@ -190,19 +236,28 @@ class TestTraversable:
         import pickle
         import random
 
-        from anglepath import Grid, line_of_sight
-        from anglepath.geometry import circle_visibility
+        from anglepath import Grid, PlannerConfig, line_of_sight, search
 
         rng = random.Random(3)
         g = Grid(mapgen.building_blocked(1)[:40, :30])
         size = len(pickle.dumps(g))
-        cells = [(col, row) for row in range(g.height) for col in range(g.width)]
-        seen = [circle_visibility(g, cell, 5, (1 << 28) - 1) for cell in cells]
-        # The circle tables are derived data and never travel with the grid.
+        free = [(c, r) for r in range(g.height) for c in range(g.width) if not g.blocked_at(c, r)]
+        pairs = [rng.sample(free, 2) for _ in range(6)]
+        cfg = PlannerConfig(mode="elian", delta_max=8, delta_min=2, alpha_max=25)
+
+        def run_all(grid):
+            return [(out.verdict, out.path, out.stats.expansions)
+                    for out in (search(grid, a, b, cfg) for a, b in pairs)]
+
+        outcomes = run_all(g)
+        assert sorted(g.circle_tables) == [2, 4, 8]
+        # The circle-visibility memo is derived data and never travels with
+        # the grid; the same searches on the copy fill the same memo.
         assert len(pickle.dumps(g)) == size
         copy = pickle.loads(pickle.dumps(g))
         assert copy.circle_tables == {}
-        assert [circle_visibility(copy, cell, 5, (1 << 28) - 1) for cell in cells] == seen
+        assert run_all(copy) == outcomes
+        assert copy.circle_tables == g.circle_tables
         assert (copy.width, copy.height) == (g.width, g.height)
         assert (copy.blocked == g.blocked).all()
         with pytest.raises(ValueError):

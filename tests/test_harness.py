@@ -340,7 +340,13 @@ class TestEmitReport:
     def test_empty_report_csv(self):
         text = emit_report(AggregateReport(baseline="x", groups=()), "csv")
         rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 1 and rows[0][0] == "algorithm"
+        # The columns are AggregateGroup's fields in order; the header is
+        # part of the report format.
+        assert rows == [[
+            "algorithm", "alpha_max", "instances", "solved", "success_rate_pct",
+            "only_vs_baseline_pct", "common_count", "common_set_id", "median_runtime_s",
+            "mean_path_length", "mean_turn_angle_deg", "normalized_turn_angle",
+        ]]
 
     def test_single_algorithm_round_trip(self):
         records = [fake_record("a", "solo", 25, Verdict.FOUND, 0.5, 10.0, 2.0)]

@@ -188,6 +188,18 @@ class TestConfig:
         assert levels[0] == dmax and levels[-1] >= cfg.delta_min - 1e-9
         assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("mode", ["lian", "elian"])
+    def test_equal_deltas_give_one_level(self, mode):
+        # However close k is to 1, equal deltas make one level, so the search
+        # keeps a fixed delta and never descends.
+        cfg = PlannerConfig(mode=mode, delta_max=20, delta_min=20, k=1 - 1e-12)
+        assert delta_levels(cfg) == (20,)
+        blocked = np.zeros((30, 30), dtype=bool)
+        blocked[:, 15] = True
+        out = search(Grid(blocked), (1, 1), (28, 28), cfg)
+        assert out.verdict is Verdict.NOT_FOUND
+        assert (out.stats.expansions, out.stats.reinsertions) == (16, 0)
+
     def test_levels_tolerate_float_noise(self):
         # 20 * 0.3 * 0.3 lands a hair under 1.8; the floor must still admit it.
         cfg = PlannerConfig(mode="elian", delta_max=20, delta_min=1.8, k=0.3)
@@ -755,6 +767,7 @@ class TestMatchesReferenceSearch:
         seed=st.integers(0, 10**6),
         mirror=st.booleans(),
         alpha=st.sampled_from([20.0, 45.0, 90.0, 180.0]),
+        warm_alpha=st.sampled_from([20.0, 45.0, 90.0, 180.0]),
         ladder=st.sampled_from(DIFFERENTIAL_LADDERS),
         k=st.sampled_from([0.5, 0.7]),
         weight=st.sampled_from([1.0, 2.0]),
@@ -762,22 +775,28 @@ class TestMatchesReferenceSearch:
     )
     # Mirrored paths tie: a dead end must drop the stale copies of its own
     # entry, or max_open comes out one higher than the reference's.
-    @example(seed=302, mirror=True, alpha=180.0, ladder=("elian", 8, 2), k=0.7,
-             weight=2.0, streak=3)
-    @example(seed=10, mirror=True, alpha=180.0, ladder=("elian", 6, 1), k=0.5,
-             weight=1.0, streak=1)
-    def test_verdict_path_and_counters(self, seed, mirror, alpha, ladder, k, weight, streak):
+    @example(seed=302, mirror=True, alpha=180.0, warm_alpha=20.0, ladder=("elian", 8, 2),
+             k=0.7, weight=2.0, streak=3)
+    @example(seed=10, mirror=True, alpha=180.0, warm_alpha=45.0, ladder=("elian", 6, 1),
+             k=0.5, weight=1.0, streak=1)
+    def test_verdict_path_and_counters(self, seed, mirror, alpha, warm_alpha, ladder, k,
+                                       weight, streak):
         inst = differential_instance(seed, mirror)
         if inst is None:
             return
         grid, start, goal = inst
         mode, dmax, dmin = ladder
-        cfg = PlannerConfig(mode=mode, delta_max=dmax, delta_min=dmin, k=k, alpha_max=alpha,
-                            weight=weight, success_streak=streak, time_cap=60)
-        out = search(grid, start, goal, cfg)
-        verdict, path, stats = reference_search(grid, start, goal, cfg)
-        assert (out.verdict, out.path) == (verdict, path)
-        assert self.counters(out.stats) == self.counters(stats)
+        # The second search runs on the circle-visibility memo the first
+        # one left on the grid, as every search after the first does in a
+        # batch; the reference keeps no memo.
+        for angle in (alpha, warm_alpha):
+            cfg = PlannerConfig(mode=mode, delta_max=dmax, delta_min=dmin, k=k,
+                                alpha_max=angle, weight=weight, success_streak=streak,
+                                time_cap=60)
+            out = search(grid, start, goal, cfg)
+            verdict, path, stats = reference_search(grid, start, goal, cfg)
+            assert (out.verdict, out.path) == (verdict, path), angle
+            assert self.counters(out.stats) == self.counters(stats), angle
 
     @staticmethod
     def counters(stats):
