@@ -46,13 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--map", required=True, help="map file (.map or ASCII)")
     plan.add_argument("--start", required=True, help="start cell as COL,ROW")
     plan.add_argument("--goal", required=True, help="goal cell as COL,ROW")
-    plan.add_argument("--alg", choices=["lian", "elian"], default="lian")
-    plan.add_argument("--delta-max", type=float, default=20.0)
-    plan.add_argument("--delta-min", type=float, default=None)
-    plan.add_argument("--k", type=float, default=0.5)
-    plan.add_argument("--angle", type=float, default=25.0, help="alpha_max in degrees")
-    plan.add_argument("--hweight", type=float, default=2.0)
-    plan.add_argument("--timeout", type=float, default=30.0, help="seconds")
+    # Planner flags are stored under PlannerConfig field names and default
+    # to None: a flag left out takes the field's own default.
+    plan.add_argument("--alg", dest="mode", choices=["lian", "elian"])
+    plan.add_argument("--delta-max", type=float)
+    plan.add_argument("--delta-min", type=float)
+    plan.add_argument("--k", type=float)
+    plan.add_argument("--angle", dest="alpha_max", metavar="ANGLE", type=float,
+                      help="alpha_max in degrees")
+    plan.add_argument("--hweight", dest="weight", metavar="HWEIGHT", type=float)
+    plan.add_argument("--timeout", dest="time_cap", metavar="TIMEOUT", type=float,
+                      help="seconds")
     plan.add_argument("--svg", default=None, help="write an SVG drawing here")
 
     bench = sub.add_parser("bench", help="run scenario batches and aggregate")
@@ -68,15 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_plan(args) -> int:
     grid = load_map(args.map)
-    cfg = PlannerConfig(
-        mode=args.alg,
-        delta_max=args.delta_max,
-        delta_min=args.delta_min,
-        k=args.k,
-        alpha_max=args.angle,
-        weight=args.hweight,
-        time_cap=args.timeout,
-    )
+    flags = ("mode", "delta_max", "delta_min", "k", "alpha_max", "weight", "time_cap")
+    cfg = PlannerConfig(**{
+        name: getattr(args, name) for name in flags if getattr(args, name) is not None
+    })
     instance = Instance(map_id=Path(args.map).name, start=_parse_cell(args.start), goal=_parse_cell(args.goal))
     record = run_instance(grid, instance, cfg)
     print(f"verdict: {record.verdict.value}")
@@ -102,7 +101,10 @@ def _load_configs(path: str | None) -> list[PlannerConfig]:
     if path is None:
         raw = DEFAULT_BENCH_CONFIGS
     else:
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
         if not isinstance(raw, list) or not raw:
             raise InputError("config file must hold a nonempty JSON list")
     return [PlannerConfig.from_dict(item) for item in raw]

@@ -99,27 +99,19 @@ def turn_cos_threshold(alpha_max: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> tuple[int, int]:
+def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
     """The circle offsets a move with heading (hx, hy) may turn to, as bits.
 
-    Returns ``(lo, bits)``: bit j of ``bits`` is set iff offset j of
-    circle_offsets(radius) passes the turn test of
-    turn_cos_threshold(alpha_max). Because the circle is ordered by angle
-    the set bits form one circular run, which starts at offset ``lo``; the
-    planner visits them in circle order from there. ``lo`` is 0 when no
-    offset or every offset passes, and should floating point ever break the
-    run apart.
+    Bit j is set iff offset j of circle_offsets(radius) passes the turn test
+    of turn_cos_threshold(alpha_max).
     """
-    circle = circle_offsets(radius)
     threshold = turn_cos_threshold(alpha_max)
     heading_norm = math.hypot(hx, hy)
-    ok = [
-        hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
-        for dc, dr in circle
-    ]
-    bits = sum(1 << j for j, keep in enumerate(ok) if keep)
-    starts = [j for j in range(len(circle)) if ok[j] and not ok[j - 1]]
-    return (starts[0] if len(starts) == 1 else 0), bits
+    return sum(
+        1 << j
+        for j, (dc, dr) in enumerate(circle_offsets(radius))
+        if hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
+    )
 
 
 def segment_cells(
@@ -227,24 +219,19 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
     if not (0 <= a[0] < width and 0 <= a[1] < height
             and 0 <= b[0] < width and 0 <= b[1] < height):
         return False
-    offset = (b[0] - a[0], b[1] - a[1])
-    return sight_bits(grid, a, (offset,), (ray(width, *offset),), 1) == 1
+    dc, dr = b[0] - a[0], b[1] - a[1]
+    return sight_bits(grid, a, ((dc, dr, ray(width, dc, dr)),), 1) == 1
 
 
 @lru_cache(maxsize=None)
-def circle_steps(radius: int) -> tuple[tuple[int, int, float], ...]:
-    """circle_offsets(radius) as (dcol, drow, hypot(dcol, drow)) triples."""
-    return tuple((dc, dr, math.hypot(dc, dr)) for dc, dr in circle_offsets(radius))
+def circle_rays(width: int, height: int, radius: int) -> tuple[tuple[int, int, Ray | None], ...]:
+    """circle_offsets(radius) as (dcol, drow, ray) on a grid of this size.
 
-
-@lru_cache(maxsize=None)
-def circle_rays(width: int, height: int, radius: int) -> tuple[Ray | None, ...]:
-    """The rays of circle_offsets(radius) on a grid of this size.
-
-    None for an offset that lands in a width x height grid from no cell.
+    The ray is None for an offset that lands in a width x height grid from
+    no cell.
     """
     return tuple(
-        ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None
+        (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
         for dc, dr in circle_offsets(radius)
     )
 
@@ -257,14 +244,14 @@ def _set_bits(bits: int) -> tuple[int, ...]:
 
 
 def sight_bits(
-    grid: Grid, cell: Cell, offsets: tuple[Offset, ...], rays: tuple[Ray | None, ...], bits: int
+    grid: Grid, cell: Cell, rays: tuple[tuple[int, int, Ray | None], ...], bits: int
 ) -> int:
     """Which of the offsets selected by ``bits`` the in-bounds cell sees.
 
-    Bit j of ``bits`` selects offsets[j], whose ray is rays[j] at the
-    grid's width. Bit j of the result is set iff it is selected, the target
-    cell + offsets[j] lies in the grid, every run of the ray is free in the
-    grid's run tables and none of its corner pairs is sealed.
+    Bit j of ``bits`` selects rays[j], an offset (dcol, drow) and its ray
+    at the grid's width. Bit j of the result is set iff it is selected, the
+    target cell + (dcol, drow) lies in the grid, every run of the ray is
+    free in the grid's run tables and none of its corner pairs is sealed.
     """
     width, height = grid.width, grid.height
     col, row = cell
@@ -272,9 +259,9 @@ def sight_bits(
     free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
     seen = 0
     for j in _set_bits(bits):
-        dc, dr = offsets[j]
+        dc, dr, ray_j = rays[j]
         if 0 <= col + dc < width and 0 <= row + dr < height:
-            along_rows, runs, pairs = rays[j]
+            along_rows, runs, pairs = ray_j
             free = free_right if along_rows else free_down
             for off, length in runs:
                 if free[base + off] < length:

@@ -7,6 +7,7 @@ work unmodified. The agent occupies cell centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,6 +245,10 @@ def parse_scen(data: str | bytes) -> ScenarioSet:
             ref_len = float(fields[8])
         except ValueError:
             raise ParseError(f"line {idx + 1}: non-numeric field in {raw!r}") from None
+        if not (math.isfinite(ref_len) and ref_len >= 0):
+            raise ParseError(
+                f"line {idx + 1}: reference length must be finite and >= 0, got {fields[8]!r}"
+            )
         name = fields[1]
         if map_id is None:
             map_id = name

@@ -254,50 +254,44 @@ def aggregate(records: Sequence[RunRecord], baseline: str) -> AggregateReport:
         key = (record.algorithm, float(record.config["alpha_max"]))
         by_group.setdefault(key, []).append(record)
 
-    alphas = sorted({alpha for _, alpha in by_group})
-    common_by_alpha: dict[float, set[str]] = {}
-    for alpha in alphas:
-        solved_sets = [
-            {r.instance_id for r in recs if r.verdict is Verdict.FOUND}
-            for (algo, a), recs in by_group.items()
-            if a == alpha
+    solved = {
+        key: {r.instance_id for r in recs if r.verdict is Verdict.FOUND}
+        for key, recs in by_group.items()
+    }
+    common_by_alpha = {
+        alpha: set.intersection(*(ids for (_, a), ids in solved.items() if a == alpha))
+        for _, alpha in by_group
+    }
+
+    def common_stats(key: tuple[str, float]):
+        # Median runtime, mean path length and mean turn angle of the group's
+        # runs on the instances every algorithm at its angle solved.
+        common = common_by_alpha[key[1]]
+        on_common = [
+            r for r in by_group[key] if r.instance_id in common and r.verdict is Verdict.FOUND
         ]
-        common_by_alpha[alpha] = set.intersection(*solved_sets) if solved_sets else set()
-
-    def group_stats(algo: str, alpha: float):
-        recs = by_group[(algo, alpha)]
-        solved = {r.instance_id for r in recs if r.verdict is Verdict.FOUND}
-        common = common_by_alpha[alpha]
-        on_common = [r for r in recs if r.instance_id in common and r.verdict is Verdict.FOUND]
-        median_rt = statistics.median(r.runtime_s for r in on_common) if on_common else None
-        mean_len = (
-            statistics.fmean(r.path_length for r in on_common) if on_common else None
+        if not on_common:
+            return None, None, None
+        return (
+            statistics.median(r.runtime_s for r in on_common),
+            statistics.fmean(r.path_length for r in on_common),
+            statistics.fmean(r.accumulated_angle_deg for r in on_common),
         )
-        mean_angle = (
-            statistics.fmean(r.accumulated_angle_deg for r in on_common)
-            if on_common
-            else None
-        )
-        return recs, solved, common, median_rt, mean_len, mean_angle
 
+    stats = {key: common_stats(key) for key in by_group}
     baseline_alpha = min(a for (algo, a) in by_group if algo == baseline)
-    _, _, _, _, _, norm_denominator = group_stats(baseline, baseline_alpha)
+    norm_denominator = stats[(baseline, baseline_alpha)][2]
 
     groups = []
-    for algo, alpha in sorted(by_group):
-        recs, solved, common, median_rt, mean_len, mean_angle = group_stats(algo, alpha)
+    for key in sorted(by_group):
+        algo, alpha = key
+        recs, common = by_group[key], common_by_alpha[alpha]
+        median_rt, mean_len, mean_angle = stats[key]
         only_pct = None
         if (baseline, alpha) in by_group:
-            base_solved = {
-                r.instance_id
-                for r in by_group[(baseline, alpha)]
-                if r.verdict is Verdict.FOUND
-            }
+            base_solved = solved[(baseline, alpha)]
             unsolved = {r.instance_id for r in by_group[(baseline, alpha)]} - base_solved
-            if unsolved:
-                only_pct = 100.0 * len(solved - base_solved) / len(unsolved)
-            else:
-                only_pct = 0.0
+            only_pct = 100.0 * len(solved[key] - base_solved) / len(unsolved) if unsolved else 0.0
         normalized = None
         if mean_angle is not None and norm_denominator:
             normalized = mean_angle / norm_denominator
@@ -306,8 +300,8 @@ def aggregate(records: Sequence[RunRecord], baseline: str) -> AggregateReport:
                 algorithm=algo,
                 alpha_max=alpha,
                 instances=len(recs),
-                solved=len(solved),
-                success_rate_pct=100.0 * len(solved) / len(recs),
+                solved=len(solved[key]),
+                success_rate_pct=100.0 * len(solved[key]) / len(recs),
                 only_vs_baseline_pct=only_pct,
                 common_count=len(common),
                 common_set_id=_common_set_id(common),

@@ -21,9 +21,7 @@ from enum import Enum
 from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
-    circle_offsets,
     circle_rays,
-    circle_steps,
     euclid,
     line_of_sight,
     sight_bits,
@@ -288,25 +286,24 @@ class Search:
         self._rings: list = [None] * len(self.levels)
 
     def _ring(self, level: int) -> tuple:
-        # (radius, circle_steps with each offset's key shift appended,
-        # count, full mask, the grid's memo for the radius, circle_offsets,
-        # circle_rays) of a ladder level. A circle of radius >= 2 *
-        # max(width, height) lies farther out than any two cells are apart:
-        # it gets no steps and is skipped unrasterized.
+        # (radius, steps, count, full mask, the grid's memo for the radius,
+        # circle_rays) of a ladder level. Step j is offset j of the circle as
+        # (dcol, drow, hypot(dcol, drow), the offset's key shift). A circle of
+        # radius >= 2 * max(width, height) lies farther out than any two
+        # cells are apart: it gets no steps and is skipped unrasterized.
         grid = self.grid
         radius = max(1, round(self.levels[level]))
         if radius >= 2 * max(grid.width, grid.height):
-            ring = (radius, None, 0, 0, None, None, None)
+            ring = (radius, None, 0, 0, None, None)
         else:
             height, base = grid.height, self._key_base
+            rays = circle_rays(grid.width, height, radius)
             steps = tuple(
-                (dc, dr, step, (dc * height + dr) * base)
-                for dc, dr, step in circle_steps(radius)
+                (dc, dr, math.hypot(dc, dr), (dc * height + dr) * base) for dc, dr, _ in rays
             )
             count = len(steps)
             ring = (radius, steps, count, (1 << count) - 1,
-                    grid.circle_tables.setdefault(radius, {}), circle_offsets(radius),
-                    circle_rays(grid.width, grid.height, radius))
+                    grid.circle_tables.setdefault(radius, {}), rays)
         self._rings[level] = ring
         return ring
 
@@ -330,13 +327,13 @@ class Search:
         limit. Bounds and line of sight for the offsets in the arc_window()
         of the node's heading come, as bits, from the memo (see the class
         docstring); sight_bits() walks only the rays of offsets it has no
-        answer for yet, and the cell's memo entry keeps them. Survivors come
-        in circle order from the arc's first offset, and those whose identity
-        was already expanded are dropped. They are pushed as lazy entries
-        (see the class docstring). If nothing survives and the ladder has a
-        next level, the node moves to it and the scan repeats there, counted
-        as one more expansion and one descent; at the last level it is
-        discarded.
+        answer for yet, and the cell's memo entry keeps them. Survivors whose
+        identity was already expanded are dropped; the rest are pushed as
+        lazy entries (see the class docstring). They differ in cell, so no
+        two tie on (f, -g, key) and the order they are pushed in decides no
+        pop. If nothing survives and the ladder has a next level, the node
+        moves to it and the scan repeats there, counted as one more
+        expansion and one descent; at the last level it is discarded.
         """
         cell = node.cell
         col, row = cell
@@ -352,24 +349,20 @@ class Search:
         goal_shift = (gdc * grid.height + gdr) * base
         level = node.level
         while True:
-            radius, targets, count, full, table, offsets, rays = (
-                self._rings[level] or self._ring(level))
+            radius, targets, count, full, table, rays = self._rings[level] or self._ring(level)
             survivors = []
             if targets is not None:
-                lo, need = (0, full) if parent is None else arc_window(
-                    radius, hx, hy, self.cfg.alpha_max
-                )
+                need = full if parent is None else arc_window(radius, hx, hy, self.cfg.alpha_max)
                 bits = table.get(flat, 0)
                 missing = need & ~(bits >> count)
                 if missing:
-                    bits |= missing << count | sight_bits(grid, cell, offsets, rays, missing)
+                    bits |= missing << count | sight_bits(grid, cell, rays, missing)
                     table[flat] = bits
                 bits &= need
-                bits = (bits | bits << count) >> lo & full  # circle order from lo
                 while bits:
                     low = bits & -bits
                     bits ^= low
-                    target = targets[(lo + low.bit_length() - 1) % count]
+                    target = targets[low.bit_length() - 1]
                     if key0 + target[3] not in closed:
                         survivors.append(target)
             # A goal on the circle that sight_bits rejected fails the same tests here.

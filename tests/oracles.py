@@ -4,9 +4,10 @@ Each oracle derives its answer by a different route than the production
 code: the line-of-sight oracle clips the segment against every cell square
 with exact integer arithmetic, the circle oracle rasterizes by per-row
 nearest-point search, the reachability oracle exhaustively enumerates
-(cell, parent-cell) states with a plain FIFO queue, and the successor
-oracle lists an expansion's raw candidates without the planner's arc and
-visibility tables.
+(cell, parent-cell) states with a plain FIFO queue, the successor oracle
+lists an expansion's raw candidates without the planner's arc and
+visibility tables, and the reference search pushes each expansion's
+children in whatever order its caller draws.
 """
 
 from __future__ import annotations
@@ -191,17 +192,19 @@ def reachable(grid, start, goal, deltas, alpha_max) -> bool:
 # Reference search
 
 
-def reference_search(grid, start, goal, cfg):
+def reference_search(grid, start, goal, cfg, shuffle):
     """LIAN/eLIAN by the book: (verdict, path, stats) without the tables.
 
     Identities are (cell, parent cell) tuples, successors are
     delta_successors() filtered one candidate at a time, and a dead-end
     node re-enters the open list one ladder level down, to be popped and
     counted as an expansion again. Open entries sort on (f, -g, cell,
-    parent cell, insertion order) with (-1, -1) as the start's parent, and
-    children are pushed in circle order from the first offset of the
-    admissible arc (from offset 0 when the arc is empty, whole or not one
-    run), so ties break exactly as in the planner. time_cap is ignored.
+    parent cell, insertion order) with (-1, -1) as the start's parent, as
+    in the planner. Each expansion's children are pushed in the order
+    ``shuffle`` leaves their list in (it permutes a list in place, e.g.
+    ``random.Random(seed).shuffle``): children of one expansion differ in
+    cell, so no two tie before insertion order, and the order they are
+    pushed in changes no verdict, path or counter. time_cap is ignored.
     """
     from anglepath import SearchStats, Verdict, delta_levels
     from anglepath.geometry import turn_cos_threshold
@@ -247,11 +250,6 @@ def reference_search(grid, start, goal, cfg):
         closed[ident] = node
         stats.expansions += 1
         heading = (cell[0] - parent[0][0], cell[1] - parent[0][1]) if parent else None
-        circle = circle_offsets(max(1, round(levels[level])))
-        ok = [heading is None or admissible(heading, dc, dr) for dc, dr in circle]
-        starts = [i for i in range(len(circle)) if ok[i] and not ok[i - 1]]
-        first = starts[0] if len(starts) == 1 else 0
-        order = {off: (i - first) % len(circle) for i, off in enumerate(circle)}
         children = []
         for cand in delta_successors(cell, levels[level], grid, goal):
             dc, dr = cand[0] - cell[0], cand[1] - cell[1]
@@ -259,8 +257,7 @@ def reference_search(grid, start, goal, cfg):
                 continue
             if line_of_sight(grid, cell, cand) and (cand, cell) not in closed:
                 children.append(cand)
-        # The injected goal, if any, stays last; the circle cells go in arc order.
-        children.sort(key=lambda c: order.get((c[0] - cell[0], c[1] - cell[1]), len(circle)))
+        shuffle(children)
         if not children:
             if level + 1 < len(levels):
                 node[4] = level + 1

@@ -203,6 +203,17 @@ class TestBench:
         assert code == 3
         assert "bad map file" in capsys.readouterr().err
 
+    def test_non_utf8_configs_exit_three(self, tmp_path, capsys):
+        scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)
+        bad = tmp_path / "c.json"
+        bad.write_bytes(b'[{"mode": "lian", "label": "\xff"}]')
+        code = main([
+            "bench", "--scen", str(scens[0]), "--maps-dir", str(tmp_path),
+            "--configs", str(bad), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_bad_configs_exit_three(self, tmp_path):
         scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)
         bad = tmp_path / "bad.json"

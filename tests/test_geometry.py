@@ -132,19 +132,15 @@ def turn_ok(hx, hy, dc, dr, alpha_max):
     return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
 
 
-def arc_offsets(circle, lo, bits):
-    """The offsets whose bits are set, in circle order from offset lo."""
-    n = len(circle)
-    return [circle[(lo + k) % n] for k in range(n) if bits >> (lo + k) % n & 1]
+def mask_offsets(circle, bits):
+    """The offsets whose bits are set, in circle order."""
+    return [offset for j, offset in enumerate(circle) if bits >> j & 1]
 
 
 def window_offsets(radius, hx, hy, alpha_max):
-    circle = circle_offsets(radius)
-    lo, bits = arc_window(radius, hx, hy, alpha_max)
-    # The admissible offsets are one run of the circle starting at lo.
-    run = (bits | bits << len(circle)) >> lo & ((1 << len(circle)) - 1)
-    assert run == (1 << run.bit_count()) - 1, (radius, hx, hy, alpha_max)
-    return arc_offsets(circle, lo, bits)
+    bits = arc_window(radius, hx, hy, alpha_max)
+    assert isinstance(bits, int) and bits >> len(circle_offsets(radius)) == 0
+    return mask_offsets(circle_offsets(radius), bits)
 
 
 class TestArcWindow:
@@ -178,7 +174,6 @@ class TestArcWindow:
         # Headings near east make the arc wrap past angle 0; the rest lie on
         # no circle, like the heading of a move injected onto the goal.
         headings = [(1, 0), (9, -1), (9, 1), (13, -5), (-4, 7), (2, -11), (6, 6)]
-        wrapped = 0
         for radius in (1, 3, 10, 20):
             circle = circle_offsets(radius)
             for hx, hy in headings:
@@ -186,17 +181,13 @@ class TestArcWindow:
                 expected = [o for o in circle if turn_ok(hx, hy, *o, alpha)]
                 assert len(window) == len(set(window))
                 assert set(window) == set(expected), (radius, hx, hy)
-                lo, bits = arc_window(radius, hx, hy, alpha)
-                wrapped += lo > 0 and bits & 1  # the run passes offset 0
-        assert wrapped > 0 or alpha in (0.0, 180.0)
 
     def test_broken_run_falls_back_to_explicit_offsets(self, monkeypatch):
-        # An order that is not by angle splits the admissible offsets in two.
+        # The mask is per offset, whatever the circle's order: here the
+        # admissible offsets are not one run of it.
         scrambled = ((-2, 0), (2, 0), (0, 2), (2, 1))
         monkeypatch.setattr(geometry, "circle_offsets", lambda radius: scrambled)
-        lo, bits = arc_window.__wrapped__(2, 1, 0, 30.0)
-        assert (lo, bits) == (0, 0b1010)
-        assert arc_offsets(scrambled, lo, bits) == [(2, 0), (2, 1)]
+        assert arc_window.__wrapped__(2, 1, 0, 30.0) == 0b1010
 
 
 class TestLineOfSight:
@@ -308,9 +299,10 @@ def visible_offsets(grid, radius, cell, need=None):
     circle = circle_offsets(radius)
     full = (1 << len(circle)) - 1
     rays = circle_rays(grid.width, grid.height, radius)
-    bits = sight_bits(grid, cell, circle, rays, full if need is None else need)
+    assert [(dc, dr) for dc, dr, _ in rays] == list(circle)
+    bits = sight_bits(grid, cell, rays, full if need is None else need)
     assert bits & ~(full if need is None else need) == 0
-    return arc_offsets(circle, 0, bits)
+    return mask_offsets(circle, bits)
 
 
 def expected_offsets(grid, radius, cell, los):
@@ -343,7 +335,7 @@ class TestVisibleTargets:
                 expected = expected_offsets(g, radius, cell, los_oracle)
                 # An ask for some offsets answers for those alone.
                 part = data.draw(st.integers(0, (1 << count) - 1))
-                asked = arc_offsets(circle_offsets(radius), 0, part)
+                asked = mask_offsets(circle_offsets(radius), part)
                 assert visible_offsets(g, radius, cell, part) == [
                     o for o in asked if o in expected
                 ], (cell, radius, part)
@@ -357,13 +349,23 @@ class TestVisibleTargets:
         # so no ray from a cell is walked twice on one grid.
         walked = []
 
-        class CountingRays(tuple):
-            def __getitem__(self, j):
-                walked.append(j)
-                return tuple.__getitem__(self, j)
+        class CountingRay(tuple):
+            # A ray that notes its offset's index when the kernel unpacks it.
+            def __iter__(self):
+                walked.append(self.j)
+                return tuple.__iter__(self)
 
-        rays = planner.circle_rays
-        monkeypatch.setattr(planner, "circle_rays", lambda *args: CountingRays(rays(*args)))
+        def counting_rays(*args):
+            counted = []
+            for j, (dc, dr, ray) in enumerate(planner_rays(*args)):
+                if ray is not None:
+                    ray = CountingRay(ray)
+                    ray.j = j
+                counted.append((dc, dr, ray))
+            return tuple(counted)
+
+        planner_rays = planner.circle_rays
+        monkeypatch.setattr(planner, "circle_rays", counting_rays)
         cfg = PlannerConfig(mode="lian", delta_max=2, alpha_max=30)
 
         def children(grid, parent):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +147,10 @@ class TestParseScen:
                 "version 1\n0\ta\t8\t8\t1\t1\t2\t2\t1\n0\tb\t8\t8\t1\t1\t2\t2\t1\n",
                 "one scenario set per map",
             ),
+            ("version 1\n0\tm\t8\t8\t1\t1\t2\t2\tnan\n", "reference length"),
+            ("version 1\n0\tm\t8\t8\t1\t1\t2\t2\tinf\n", "reference length"),
+            ("version 1\n0\tm\t8\t8\t1\t1\t2\t2\t-inf\n", "reference length"),
+            ("version 1\n0\tm\t8\t8\t1\t1\t2\t2\t-3\n", "reference length"),
         ],
     )
     def test_errors_name_lines(self, text, fragment):
@@ -189,9 +195,11 @@ def test_parse_map_fuzz(data):
                 "1e999", "nan", "-1"))
 def test_parse_scen_fuzz(data):
     try:
-        parse_scen(data)
+        scen = parse_scen(data)
     except ParseError:
-        pass
+        return
+    for inst in scen.instances:
+        assert math.isfinite(inst.reference_length) and inst.reference_length >= 0
 
 
 class TestTraversable:

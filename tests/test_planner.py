@@ -22,7 +22,7 @@ from anglepath import (
     search,
     validate_path,
 )
-from anglepath.geometry import arc_window, circle_offsets, turn_cos_threshold
+from anglepath.geometry import circle_offsets, turn_cos_threshold
 from anglepath.planner import MAX_LEVELS
 from oracles import delta_successors, reachable, reference_search
 
@@ -375,56 +375,6 @@ class TestExpand:
         assert second == first - {(40, 20)}
 
 
-class TestExpandOrder:
-    @settings(max_examples=100)
-    @given(
-        seed=st.integers(0, 10**6),
-        alpha=st.sampled_from([20.0, 45.0, 90.0, 180.0]),
-        delta=st.sampled_from([2.0, 3.0, 6.0, 10.0]),
-        heading=st.one_of(
-            st.none(), st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
-        ),
-    )
-    def test_push_order_follows_the_circle_from_the_arc_start(
-        self, seed, alpha, delta, heading
-    ):
-        # Push order sets the seq tie-break, so it is part of the behaviour:
-        # circle order, starting at the first admissible offset of the arc.
-        rng = random.Random(seed)
-        grid = random_grid(rng, rng.randrange(6, 25), rng.choice([0.0, 0.15, 0.3]))
-        inst = random_instance(rng, grid)
-        if inst is None:
-            return
-        cell, goal = inst
-        cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
-        s = make_search(grid, cell, goal, cfg)
-        parent = None
-        circle = circle_offsets(max(1, round(delta)))
-        ok = [True] * len(circle)
-        if heading is not None:
-            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0, 0, 0)
-            threshold = turn_cos_threshold(alpha)
-            ok = [
-                heading[0] * dc + heading[1] * dr
-                >= threshold * math.hypot(*heading) * math.hypot(dc, dr)
-                for dc, dr in circle
-            ]
-        starts = [i for i in range(len(circle)) if ok[i] and not ok[i - 1]]
-        first = starts[0] if starts else 0
-        expected = []
-        for k in range(len(circle)):
-            i = (first + k) % len(circle)
-            target = (cell[0] + circle[i][0], cell[1] + circle[i][1])
-            if ok[i] and line_of_sight(grid, cell, target):
-                expected.append(target)
-        node = SearchNode(cell, parent, 0.0, 0.0, 0)
-        s.expand(node)
-        pushed = [cell for cell, _, _, _, _ in open_entries(s)]
-        if pushed[len(expected):]:  # the injected goal comes last
-            assert pushed[len(expected):] == [goal]
-        assert pushed[: len(expected)] == expected
-
-
 def full_scan_children(search, node):
     """Reference for Search.expand: delta_successors filtered one by one."""
     grid = search.grid
@@ -491,33 +441,6 @@ class TestExpandMatchesFullScan:
             assert (parent_cell, level) == (cell, 0)
             assert g == node.g + math.hypot(child[0] - cell[0], child[1] - cell[1])
             assert f == g + cfg.weight * math.hypot(goal[0] - child[0], goal[1] - child[1])
-
-    def test_explicit_arc_fallback(self, monkeypatch):
-        # arc_window starts at offset 0 when the admissible offsets do not
-        # form one run of the circle; expand must still find every child.
-        import anglepath.planner as planner
-
-        def explicit(radius, hx, hy, alpha_max):
-            return 0, arc_window(radius, hx, hy, alpha_max)[1]
-
-        monkeypatch.setattr(planner, "arc_window", explicit)
-        rng = random.Random(4)
-        for _ in range(60):
-            grid = random_grid(rng, rng.randrange(6, 25), rng.choice([0.0, 0.15, 0.3]))
-            inst = random_instance(rng, grid)
-            if inst is None:
-                continue
-            cell, goal = inst
-            delta = rng.choice([2.0, 4.5, 8.0])
-            alpha = rng.choice([20.0, 45.0, 135.0])
-            cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
-            s = make_search(grid, cell, goal, cfg)
-            heading = (rng.randrange(-9, 10), rng.randrange(1, 10))
-            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0)
-            node = SearchNode(cell, parent, 0.0, 0.0, 0)
-            expected = full_scan_children(s, node)
-            s.expand(node)
-            assert sorted(cell for cell, _, _, _, _ in open_entries(s)) == sorted(expected)
 
 
 class TestHugeDelta:
@@ -772,15 +695,16 @@ class TestMatchesReferenceSearch:
         k=st.sampled_from([0.5, 0.7]),
         weight=st.sampled_from([1.0, 2.0]),
         streak=st.integers(1, 3),
+        push_seed=st.integers(0, 2**32),
     )
     # Mirrored paths tie: a dead end must drop the stale copies of its own
     # entry, or max_open comes out one higher than the reference's.
     @example(seed=302, mirror=True, alpha=180.0, warm_alpha=20.0, ladder=("elian", 8, 2),
-             k=0.7, weight=2.0, streak=3)
+             k=0.7, weight=2.0, streak=3, push_seed=0)
     @example(seed=10, mirror=True, alpha=180.0, warm_alpha=45.0, ladder=("elian", 6, 1),
-             k=0.5, weight=1.0, streak=1)
+             k=0.5, weight=1.0, streak=1, push_seed=0)
     def test_verdict_path_and_counters(self, seed, mirror, alpha, warm_alpha, ladder, k,
-                                       weight, streak):
+                                       weight, streak, push_seed):
         inst = differential_instance(seed, mirror)
         if inst is None:
             return
@@ -788,13 +712,15 @@ class TestMatchesReferenceSearch:
         mode, dmax, dmin = ladder
         # The second search runs on the circle-visibility memo the first
         # one left on the grid, as every search after the first does in a
-        # batch; the reference keeps no memo.
+        # batch; the reference keeps no memo. The reference pushes each
+        # expansion's children in a drawn order, which must change nothing.
+        shuffle = random.Random(push_seed).shuffle
         for angle in (alpha, warm_alpha):
             cfg = PlannerConfig(mode=mode, delta_max=dmax, delta_min=dmin, k=k,
                                 alpha_max=angle, weight=weight, success_streak=streak,
                                 time_cap=60)
             out = search(grid, start, goal, cfg)
-            verdict, path, stats = reference_search(grid, start, goal, cfg)
+            verdict, path, stats = reference_search(grid, start, goal, cfg, shuffle)
             assert (out.verdict, out.path) == (verdict, path), angle
             assert self.counters(out.stats) == self.counters(stats), angle
 
