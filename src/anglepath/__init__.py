@@ -1,6 +1,6 @@
 """Angle-constrained grid path planning with LIAN and eLIAN."""
 
-from .geometry import circle_offsets, euclid, line_of_sight, segment_cells, turn_angle
+from .geometry import circle_offsets, euclid, line_of_sight, turn_angle
 from .grids import (
     Cell,
     Grid,
@@ -59,7 +59,6 @@ __all__ = [
     "parse_scen",
     "reconstruct_path",
     "search",
-    "segment_cells",
     "turn_angle",
     "validate_path",
 ]

@@ -3,17 +3,18 @@
 Cells are unit squares centered on integer (col, row) coordinates. All
 predicates here are exact: the segment traversal and the circle rasterizer
 use integer arithmetic only, so results are identical across platforms.
-The turn test is the one floating-point predicate; arc_window evaluates it
-with the same expression as the planner, so both agree bit for bit.
+The turn test, turn_bits(), is the one floating-point predicate; arc_window
+and the planner's goal test both call it, so they agree bit for bit.
 
-A segment is tested as a ray: the cells of segment_cells() grouped into
-row or column runs, each read from the grid's free-run tables (a run is free
-when the table entry at its first cell covers its length), plus the corner
-pairs it pinches. sight_bits() is the one routine that runs this test: over
-the rays a bitmask selects, such as the delta-circle offsets one expansion
-may move to, answering with a bitmask. line_of_sight() asks it for a single
-ray. Everything here is a pure function of its arguments; the caches are
-lru_caches keyed by them, and the planner keeps its own per-grid memo.
+A segment is tested as a ray: ray() gathers the cells it crosses, in one
+boundary-crossing traversal, into row or column runs, each read from the
+grid's free-run tables (a run is free when the table entry at its first cell
+covers its length), plus the corner pairs it pinches. sight_bits() is the
+one routine that runs this test: over the rays a bitmask selects, such as
+the delta-circle offsets one expansion may move to, answering with a
+bitmask. line_of_sight() asks it for a single ray. Everything here is a
+pure function of its arguments; the caches are lru_caches keyed by them,
+and the planner keeps its own per-grid memo.
 """
 
 from __future__ import annotations
@@ -90,90 +91,48 @@ def circle_offsets(radius: int) -> tuple[Offset, ...]:
 def turn_cos_threshold(alpha_max: float) -> float:
     """Cosine bound equivalent to turn_angle(...) <= alpha_max + ANGLE_EPS_DEG.
 
-    A move (dc, dr) after heading (hx, hy) is admissible iff
-    ``hx*dc + hy*dr >= threshold * hypot(hx, hy) * hypot(dc, dr)``, which
-    avoids an acos per candidate. At 180 degrees every move is admissible.
+    turn_bits() compares against it, which avoids an acos per candidate. At
+    180 degrees every move is admissible.
     """
     bound = alpha_max + ANGLE_EPS_DEG
     return math.cos(math.radians(bound)) if bound < 180.0 else -2.0
+
+
+def turn_bits(hx: int, hy: int, offsets: tuple[Offset, ...], threshold: float) -> int:
+    """Which moves of ``offsets`` may follow the heading (hx, hy), as bits.
+
+    Bit j is set iff offsets[j] = (dc, dr) passes the turn test at
+    threshold = turn_cos_threshold(alpha_max):
+    ``hx*dc + hy*dr >= threshold * hypot(hx, hy) * hypot(dc, dr)``, or the
+    move continues the heading exactly (collinear, same direction). The
+    second clause is exact integer arithmetic: at alpha_max = 0 rounding
+    alone rejects such moves, since hypot(2, 1) ** 2 is 5.000000000000001.
+    """
+    heading_norm = math.hypot(hx, hy)
+    return sum(
+        1 << j
+        for j, (dc, dr) in enumerate(offsets)
+        if hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
+        or (hx * dr == hy * dc and hx * dc + hy * dr > 0)
+    )
 
 
 @lru_cache(maxsize=None)
 def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
     """The circle offsets a move with heading (hx, hy) may turn to, as bits.
 
-    Bit j is set iff offset j of circle_offsets(radius) passes the turn test
-    of turn_cos_threshold(alpha_max).
+    Bit j is set iff offset j of circle_offsets(radius) passes turn_bits()
+    at turn_cos_threshold(alpha_max).
     """
-    threshold = turn_cos_threshold(alpha_max)
-    heading_norm = math.hypot(hx, hy)
-    return sum(
-        1 << j
-        for j, (dc, dr) in enumerate(circle_offsets(radius))
-        if hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
-    )
+    return turn_bits(hx, hy, circle_offsets(radius), turn_cos_threshold(alpha_max))
 
 
-def segment_cells(
-    dcol: int, drow: int
-) -> tuple[tuple[Offset, ...], tuple[tuple[Offset, Offset], ...]]:
-    """Cells swept by the segment from (0,0) to (dcol,drow), by displacement.
-
-    Returns ``(cells, corner_pairs)``. ``cells`` are all cells whose unit
-    square the segment crosses with positive length, endpoints included;
-    the segment is clear only if all of them are free. Each entry of
-    ``corner_pairs`` is the pair of cells the segment touches only at one
-    lattice corner it passes through exactly; passage is blocked only when
-    both members of a pair are blocked (a sealed diagonal).
-
-    Translation-invariant, so it depends on the displacement only. Not
-    cached: ray() caches what it derives from it. Every returned cell lies
-    in the bounding box of the two endpoints.
-    """
-    sx = -1 if dcol < 0 else 1
-    sy = -1 if drow < 0 else 1
-    dx, dy = abs(dcol), abs(drow)
-    cells: list[Offset] = [(0, 0)]
-    pairs: list[tuple[Offset, Offset]] = []
-    c = r = 0
-    i = j = 1
-    # Merge the vertical (x = i - 1/2) and horizontal (y = j - 1/2) boundary
-    # crossings in parameter order; (2i-1)*dy vs (2j-1)*dx compares the exact
-    # crossing parameters without division.
-    while i <= dx or j <= dy:
-        if j > dy:
-            step_col = True
-        elif i > dx:
-            step_col = False
-        else:
-            lhs = (2 * i - 1) * dy
-            rhs = (2 * j - 1) * dx
-            if lhs == rhs:
-                # Exact pass through a lattice corner: diagonal step, and the
-                # two cells touched only at that corner form a pinch pair.
-                pairs.append(((sx * (c + 1), sy * r), (sx * c, sy * (r + 1))))
-                c += 1
-                r += 1
-                i += 1
-                j += 1
-                cells.append((sx * c, sy * r))
-                continue
-            step_col = lhs < rhs
-        if step_col:
-            c += 1
-            i += 1
-        else:
-            r += 1
-            j += 1
-        cells.append((sx * c, sy * r))
-    return tuple(cells), tuple(pairs)
-
-
-# A ray is segment_cells(dcol, drow) laid out for one grid width, as a tuple
-# (along_rows, runs, pairs). ``runs`` are (flat offset of the run's
-# lowest-index cell, cell count) pairs: row runs read from Grid.free_right
-# when along_rows, column runs read from Grid.free_down otherwise, in segment
-# order from the origin. ``pairs`` are the corner pairs as flat offsets.
+# A ray is the segment from (0,0) to (dcol,drow) laid out for one grid
+# width, as a tuple (along_rows, runs, pairs). ``runs`` are (flat offset of
+# the run's lowest-index cell, cell count) pairs: row runs read from
+# Grid.free_right when along_rows, column runs read from Grid.free_down
+# otherwise, in segment order from the origin. ``pairs`` are the corner
+# pairs as flat offsets.
 Ray = tuple[bool, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
@@ -181,19 +140,47 @@ Ray = tuple[bool, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 def ray(width: int, dcol: int, drow: int) -> Ray:
     """The segment from (0,0) to (dcol,drow) as runs on a grid of this width.
 
-    Shallow segments (``|dcol| >= |drow|``) are grouped into row runs, steep
-    ones into column runs; runs longer than MAX_RUN cells are split. The
-    runs cover exactly the cells of segment_cells(dcol, drow).
+    The runs cover, each once, every cell whose unit square the segment
+    crosses with positive length, endpoints included: the segment is clear
+    only if all of them are free. Shallow segments (``|dcol| >= |drow|``)
+    are grouped into row runs, steep ones into column runs; runs longer
+    than MAX_RUN cells are split. Each of ``pairs`` is the pair of cells the
+    segment touches only at one lattice corner it passes through exactly;
+    passage is blocked only when both members of a pair are blocked (a
+    sealed diagonal). Every cell lies in the bounding box of the two
+    endpoints, so the flat offsets are exact for any width above |dcol|.
     """
-    cells, pairs = segment_cells(dcol, drow)
-    along_rows = abs(dcol) >= abs(drow)
-    # [line, lowest position, highest position]. The traversal moves one
-    # cell at a time, so consecutive cells on one line are adjacent.
-    spans: list[list[int]] = []
-    for dc, dr in cells:
-        line, pos = (dr, dc) if along_rows else (dc, dr)
-        last = spans[-1] if spans else None
-        if last is not None and last[0] == line and last[2] - last[1] + 1 < MAX_RUN:
+    sx = -1 if dcol < 0 else 1
+    sy = -1 if drow < 0 else 1
+    dx, dy = abs(dcol), abs(drow)
+    along_rows = dx >= dy
+    # [line, lowest position, highest position] per run. The traversal
+    # moves one cell at a time, so consecutive cells on one line are adjacent.
+    spans = [[0, 0, 0]]
+    pairs = []
+    c = r = 0
+    i = j = 1
+    # Merge the vertical (x = i - 1/2) and horizontal (y = j - 1/2) boundary
+    # crossings in parameter order; (2i-1)*dy vs (2j-1)*dx compares the exact
+    # crossing parameters without division.
+    while i <= dx or j <= dy:
+        if j > dy or (i <= dx and (2 * i - 1) * dy < (2 * j - 1) * dx):
+            c += 1
+            i += 1
+        elif i > dx or (2 * i - 1) * dy > (2 * j - 1) * dx:
+            r += 1
+            j += 1
+        else:
+            # Exact pass through a lattice corner: diagonal step, and the
+            # two cells touched only at that corner form a pinch pair.
+            pairs.append((sy * r * width + sx * (c + 1), sy * (r + 1) * width + sx * c))
+            c += 1
+            r += 1
+            i += 1
+            j += 1
+        line, pos = (sy * r, sx * c) if along_rows else (sx * c, sy * r)
+        last = spans[-1]
+        if last[0] == line and last[2] - last[1] + 1 < MAX_RUN:
             last[1] = min(last[1], pos)
             last[2] = max(last[2], pos)
         else:
@@ -202,10 +189,7 @@ def ray(width: int, dcol: int, drow: int) -> Ray:
         (line * width + lo if along_rows else lo * width + line, hi - lo + 1)
         for line, lo, hi in spans
     )
-    flat_pairs = tuple(
-        (r1 * width + c1, r2 * width + c2) for (c1, r1), (c2, r2) in pairs
-    )
-    return along_rows, runs, flat_pairs
+    return along_rows, runs, tuple(pairs)
 
 
 def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
@@ -256,7 +240,7 @@ def sight_bits(
     width, height = grid.width, grid.height
     col, row = cell
     base = row * width + col
-    free_right, free_down, occ = grid.free_right, grid.free_down, grid._flat
+    free_right, free_down = grid.free_right, grid.free_down
     seen = 0
     for j in _set_bits(bits):
         dc, dr, ray_j = rays[j]
@@ -268,7 +252,8 @@ def sight_bits(
                     break
             else:
                 for off1, off2 in pairs:
-                    if occ[base + off1] and occ[base + off2]:
+                    # A cell is blocked iff its free run is empty.
+                    if not (free_right[base + off1] or free_right[base + off2]):
                         break
                 else:
                     seen |= 1 << j

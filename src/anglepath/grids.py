@@ -50,11 +50,11 @@ class Grid:
     """Occupancy map of blocked and unblocked cells, fixed once built.
 
     Besides the boolean matrix it carries row-major byte tables for the
-    search hot loop: ``_flat`` holds 1 for a blocked cell, and
-    ``free_right`` / ``free_down`` hold the number of consecutive free cells
-    starting at each cell going right / down, capped at MAX_RUN. A run of n
-    cells starting at flat index i is free iff ``free_right[i] >= n``
-    (``free_down[i] >= n`` for a column run), for n <= MAX_RUN.
+    search hot loop: ``free_right`` / ``free_down`` hold the number of
+    consecutive free cells starting at each cell going right / down, capped
+    at MAX_RUN. A run of n cells starting at flat index i is free iff
+    ``free_right[i] >= n`` (``free_down[i] >= n`` for a column run), for
+    n <= MAX_RUN, and a cell is blocked iff its ``free_right`` entry is 0.
 
     ``circle_tables`` is planner.Search's memo of delta-circle visibility
     on this grid; only that class reads or writes it, and its docstring
@@ -63,7 +63,7 @@ class Grid:
     """
 
     __slots__ = (
-        "width", "height", "blocked", "_flat", "free_right", "free_down", "circle_tables",
+        "width", "height", "blocked", "free_right", "free_down", "circle_tables",
     )
 
     def __init__(self, blocked: np.ndarray):
@@ -74,7 +74,6 @@ class Grid:
         blocked.flags.writeable = False
         self.height, self.width = blocked.shape
         self.blocked = blocked
-        self._flat = blocked.astype(np.uint8).tobytes()
         self.free_right = _free_runs(blocked).tobytes()
         self.free_down = _free_runs(blocked.T).T.tobytes()
         self.circle_tables: dict[int, dict[int, int]] = {}
@@ -88,7 +87,7 @@ class Grid:
         return 0 <= col < self.width and 0 <= row < self.height
 
     def blocked_at(self, col: int, row: int) -> bool:
-        return bool(self._flat[row * self.width + col])
+        return not self.free_right[row * self.width + col]
 
     def blocked_count(self) -> int:
         return int(self.blocked.sum())
@@ -168,45 +167,40 @@ def parse_map(data: str | bytes) -> Grid:
     if height is None or width is None:
         raise ParseError(f"line {body_start}: header lacks height or width")
 
-    rows = [raw for raw in lines[body_start:] if raw.strip()]
+    rows = [(body_start + i + 1, raw) for i, raw in enumerate(lines[body_start:]) if raw.strip()]
     if len(rows) != height:
         raise ParseError(
             f"line {body_start + 1}: expected {height} map rows, found {len(rows)}"
         )
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"line {body_start + r + 1}: row length {len(row)} != width {width}"
-            )
-    # Allocated only once every row matched the header's width, however large.
-    blocked = np.zeros((height, width), dtype=bool)
-    for r, row in enumerate(rows):
-        for c, ch in enumerate(row):
-            if ch in BLOCKED_CHARS:
-                blocked[r, c] = True
-            elif ch not in PASSABLE_CHARS:
-                raise ParseError(
-                    f"line {body_start + r + 1}: unknown terrain character {ch!r}"
-                )
-    return Grid(blocked)
+    return _decode_rows(rows, width, BLOCKED_CHARS, PASSABLE_CHARS)
 
 
 def parse_ascii_map(data: str | bytes) -> Grid:
     """Parse the minimal test format: ``#`` blocked, ``.`` free, no header."""
-    lines = [ln.strip() for ln in _as_text(data).splitlines()]
-    rows = [ln for ln in lines if ln]
+    lines = _as_text(data).splitlines()
+    rows = [(i + 1, raw.strip()) for i, raw in enumerate(lines) if raw.strip()]
     if not rows:
         raise ParseError("empty map")
-    width = len(rows[0])
-    blocked = np.zeros((len(rows), width), dtype=bool)
-    for r, row in enumerate(rows):
+    return _decode_rows(rows, len(rows[0][1]), "#", ".")
+
+
+def _decode_rows(rows: list[tuple[int, str]], width: int, blocked_chars, passable_chars) -> Grid:
+    """The Grid of ``rows``, (line number, row text) pairs of terrain characters.
+
+    Every row must hold ``width`` characters, each in ``blocked_chars`` or
+    ``passable_chars``; errors name the row's line.
+    """
+    for line, row in rows:
         if len(row) != width:
-            raise ParseError(f"line {r + 1}: ragged row (length {len(row)} != {width})")
+            raise ParseError(f"line {line}: row length {len(row)} != width {width}")
+    # Allocated only once every row matched the width, however large.
+    blocked = np.zeros((len(rows), width), dtype=bool)
+    for r, (line, row) in enumerate(rows):
         for c, ch in enumerate(row):
-            if ch == "#":
+            if ch in blocked_chars:
                 blocked[r, c] = True
-            elif ch != ".":
-                raise ParseError(f"line {r + 1}: unknown character {ch!r}")
+            elif ch not in passable_chars:
+                raise ParseError(f"line {line}: unknown terrain character {ch!r}")
     return Grid(blocked)
 
 

@@ -151,32 +151,39 @@ def run_batch(
     """Run every (instance, config) pair; unreadable maps fail per set.
 
     Maps resolve from ``grids`` by map_id first, then from ``maps_dir`` (the
-    map_id itself, then its basename). Records come back in deterministic
-    (scenario, config, instance) order regardless of the parallelism degree.
-    With ``jobs > 1`` each worker process receives the grids once, through
-    the pool's initializer, and fills its own circle tables.
+    map_id itself, then its basename), once per batch; a map that fails
+    gives one error and its sets are skipped. Records come back in
+    deterministic (scenario, config, instance) order regardless of the
+    parallelism degree. Up to ``jobs`` worker processes run the tasks, never
+    more than there are tasks; each receives the grids once, through the
+    pool's initializer, and fills its own circle tables. ``jobs < 1`` raises
+    InputError.
     """
-    scenario_list = list(scenarios)
-    resolved: dict[str, Grid] = {}
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
+    # None marks a map that could not be loaded.
+    resolved: dict[str, Grid | None] = {}
     errors: list[str] = []
     runnable: list[ScenarioSet] = []
-    for scen in scenario_list:
-        grid = grids.get(scen.map_id) if grids else None
-        if grid is None and maps_dir is not None:
-            base = Path(maps_dir)
-            for cand in (base / scen.map_id, base / Path(scen.map_id).name):
-                if cand.is_file():
-                    try:
-                        grid = load_map(cand)
-                    except ParseError as exc:
-                        errors.append(f"{scen.map_id}: bad map file: {exc}")
-                    break
-        if grid is None:
-            if not any(err.startswith(f"{scen.map_id}:") for err in errors):
-                errors.append(f"{scen.map_id}: map not found")
-            continue
-        resolved[scen.map_id] = grid
-        runnable.append(scen)
+    for scen in scenarios:
+        map_id = scen.map_id
+        if map_id not in resolved:
+            grid = grids.get(map_id) if grids else None
+            error = f"{map_id}: map not found"
+            if grid is None and maps_dir is not None:
+                base = Path(maps_dir)
+                for cand in (base / map_id, base / Path(map_id).name):
+                    if cand.is_file():
+                        try:
+                            grid = load_map(cand)
+                        except ParseError as exc:
+                            error = f"{map_id}: bad map file: {exc}"
+                        break
+            if grid is None:
+                errors.append(error)
+            resolved[map_id] = grid
+        if resolved[map_id] is not None:
+            runnable.append(scen)
 
     tasks = [(scen, cfg) for scen in runnable for cfg in configs]
     records: list[RunRecord] = []
@@ -188,12 +195,13 @@ def run_batch(
             for record in task_records:
                 record_sink(record)
 
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         for scen, cfg in tasks:
             collect(*_run_set(resolved[scen.map_id], scen, cfg))
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(resolved,)
+            max_workers=workers, initializer=_init_worker, initargs=(resolved,)
         ) as pool:
             futures = [pool.submit(_run_worker_set, scen, cfg) for scen, cfg in tasks]
             # Consume in submission order: deterministic output, streamed

@@ -26,6 +26,7 @@ from .geometry import (
     line_of_sight,
     sight_bits,
     turn_angle,
+    turn_bits,
     turn_cos_threshold,
 )
 from .grids import Cell, Grid, InputError, is_traversable
@@ -367,10 +368,8 @@ class Search:
                         survivors.append(target)
             # A goal on the circle that sight_bits rejected fails the same tests here.
             if dg < self.levels[level] and goal_shift not in [t[3] for t in survivors]:
-                keep = True
-                if parent is not None:
-                    keep = hx * gdc + hy * gdr >= self._cos_threshold * math.hypot(hx, hy) * dg
-                if keep and line_of_sight(grid, cell, goal) and key0 + goal_shift not in closed:
+                if ((parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold))
+                        and line_of_sight(grid, cell, goal) and key0 + goal_shift not in closed):
                     survivors.append((gdc, gdr, dg, goal_shift))
             if survivors:
                 break

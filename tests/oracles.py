@@ -224,6 +224,8 @@ def reference_search(grid, start, goal, cfg, shuffle):
 
     def admissible(heading, dc, dr):
         hx, hy = heading
+        if hx * dr == hy * dc and hx * dc + hy * dr > 0:
+            return True  # straight on: a zero turn, whatever the rounding
         return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
 
     def streak(node):

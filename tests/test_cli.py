@@ -182,6 +182,14 @@ class TestBench:
         assert code == 0
         assert "ghost.map" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_three(self, open_map, tmp_path, capsys, jobs):
+        scen = tmp_path / "open.scen"
+        scen.write_text("version 1\n0\topen.map\t40\t40\t5\t20\t25\t20\t20\n")
+        code = main(["bench", "--scen", str(scen), "--jobs", jobs, "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
     def test_nothing_runnable_exit_three(self, tmp_path, capsys):
         orphan = tmp_path / "orphan.scen"
         orphan.write_text("version 1\n0\tghost.map\t8\t8\t0\t0\t5\t5\t5\n")

@@ -10,12 +10,12 @@ from anglepath import (
     euclid,
     line_of_sight,
     parse_ascii_map,
-    segment_cells,
     turn_angle,
 )
 from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
-from anglepath.geometry import arc_window, circle_rays, sight_bits, turn_cos_threshold
-from oracles import circle_oracle, los_oracle
+from anglepath.geometry import arc_window, circle_rays, ray, sight_bits, turn_cos_threshold
+from anglepath.grids import MAX_RUN
+from oracles import circle_oracle, los_oracle, segment_box_intersection
 
 
 def grid_of(text):
@@ -129,6 +129,8 @@ class TestCircleOffsets:
 def turn_ok(hx, hy, dc, dr, alpha_max):
     """The planner's turn test, evaluated offset by offset."""
     threshold = turn_cos_threshold(alpha_max)
+    if hx * dr == hy * dc and hx * dc + hy * dr > 0:
+        return True  # straight on: a zero turn, whatever the rounding
     return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
 
 
@@ -164,10 +166,15 @@ class TestArcWindow:
                 assert sorted(window) == sorted(circle)
 
     def test_zero_turn_keeps_only_collinear_offsets(self):
+        # Every offset straight on is kept too: hypot(2, 1) ** 2 rounds above
+        # 5, so a cosine test alone would drop (4, 2) after heading (2, 1).
         for radius in (1, 2, 5, 10, 20):
-            for hx, hy in circle_offsets(radius) + ((3, 4), (1, 2), (-7, 3)):
-                for dc, dr in window_offsets(radius, hx, hy, 0.0):
-                    assert hx * dr - hy * dc == 0 and hx * dc + hy * dr > 0
+            circle = circle_offsets(radius)
+            for hx, hy in circle + ((3, 4), (1, 2), (-7, 3)):
+                straight_on = [
+                    (dc, dr) for dc, dr in circle if hx * dr - hy * dc == 0 and hx * dc + hy * dr > 0
+                ]
+                assert window_offsets(radius, hx, hy, 0.0) == straight_on, (radius, hx, hy)
 
     @pytest.mark.parametrize("alpha", [0.0, 20.0, 45.0, 90.0, 135.0, 179.999, 180.0])
     def test_wrapping_and_off_circle_headings(self, alpha):
@@ -270,11 +277,66 @@ class TestLineOfSight:
                 continue
             free = Grid(np.zeros((n, n), dtype=bool))
             assert line_of_sight(free, a, b)
-            cells, _ = segment_cells(b[0] - a[0], b[1] - a[1])
-            for dc, dr in cells:
+            crossed, _ = oracle_segment(b[0] - a[0], b[1] - a[1])
+            assert (0, 0) in crossed and (b[0] - a[0], b[1] - a[1]) in crossed
+            for dc, dr in crossed:
                 blocked = np.zeros((n, n), dtype=bool)
                 blocked[a[1] + dr, a[0] + dc] = True
                 assert not line_of_sight(Grid(blocked), a, b)
+
+
+def oracle_segment(dcol, drow):
+    """The segment (0,0)->(dcol,drow) by the exact oracle: (cells, corner pairs).
+
+    The cells are those of its bounding box whose square it crosses with
+    positive length; each corner pair is the two cells it touches at one
+    lattice corner only.
+    """
+    crossed, touches = [], {}
+    for dc in range(min(0, dcol), max(0, dcol) + 1):
+        for dr in range(min(0, drow), max(0, drow) + 1):
+            kind, point = segment_box_intersection((0, 0), (dcol, drow), (dc, dr))
+            if kind == "span":
+                crossed.append((dc, dr))
+            elif kind == "point":
+                touches.setdefault(point, []).append((dc, dr))
+    return crossed, list(touches.values())
+
+
+class TestRay:
+    WIDTHS = (1, 3, 7, 26, 600)
+
+    def check(self, dcol, drow, widths):
+        crossed, touches = oracle_segment(dcol, drow)
+        # A flat offset names one cell of the bounding box when the grid is
+        # wider than the box; no grid narrower than that holds the segment.
+        left = min(0, dcol)
+        for width in widths:
+            if width <= abs(dcol):
+                continue
+            along_rows, runs, pairs = ray(width, dcol, drow)
+            assert along_rows == (abs(dcol) >= abs(drow))
+            step = 1 if along_rows else width
+            cells = []
+            for off, length in runs:
+                assert 1 <= length <= MAX_RUN, (dcol, drow, width)
+                for t in range(length):
+                    dr, dc = divmod(off + t * step - left, width)
+                    cells.append((dc + left, dr))
+            assert sorted(cells) == sorted(crossed), (dcol, drow, width)
+            assert sorted(tuple(sorted(p)) for p in pairs) == sorted(
+                tuple(sorted(dr * width + dc for dc, dr in pair)) for pair in touches
+            ), (dcol, drow, width)
+
+    def test_runs_cover_each_crossed_cell_once(self):
+        for dcol in range(-25, 26):
+            for drow in range(-25, 26):
+                self.check(dcol, drow, self.WIDTHS)
+
+    def test_rays_longer_than_a_table_entry(self):
+        for dcol, drow in ((599, 0), (-599, 0), (0, 599), (0, -599), (599, 1), (-599, -1),
+                           (599, 3), (2, -599)):
+            self.check(dcol, drow, (600, 601))
 
 
 def pinched_grid(rng, height, width, density, pinches):

@@ -236,7 +236,7 @@ class TestTraversable:
         g2 = Grid(src)
         src[0, 0] = True  # must not leak into the grid
         assert g2.blocked_count() == 0
-        for table in (g2._flat, g2.free_right, g2.free_down):
+        for table in (g2.free_right, g2.free_down):
             assert type(table) is bytes
 
     def test_grid_pickle_round_trip(self):
@@ -270,7 +270,7 @@ class TestTraversable:
         assert (copy.blocked == g.blocked).all()
         with pytest.raises(ValueError):
             copy.blocked[0, 0] = False
-        for name in ("_flat", "free_right", "free_down"):
+        for name in ("free_right", "free_down"):
             assert getattr(copy, name) == getattr(g, name)
         for _ in range(300):
             a = (rng.randrange(g.width), rng.randrange(g.height))

@@ -174,6 +174,46 @@ class TestRunBatch:
         assert timeless(parallel.records) == timeless(serial.records)
         assert parallel.errors == serial.errors
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(InputError, match="jobs"):
+            run_batch(self.scens, self.configs, grids=self.grids, jobs=jobs)
+
+    def test_pool_no_larger_than_the_batch(self):
+        # Two tasks at jobs=6 need two workers, not six.
+        import multiprocessing
+
+        live = []
+        result = run_batch(self.scens, self.configs[:2], grids=self.grids, jobs=6,
+                           record_sink=lambda record: live.append(
+                               len(multiprocessing.active_children())))
+        assert len(result.records) == 4
+        assert 1 <= max(live) <= 2
+
+    def test_each_map_loaded_once_per_batch(self, tmp_path, monkeypatch):
+        from anglepath import harness
+
+        (tmp_path / "a.map").write_text(
+            "type octile\nheight 40\nwidth 40\nmap\n" + "\n".join(["." * 40] * 40) + "\n"
+        )
+        (tmp_path / "bad.map").write_text("type octile\nheight 2\nwidth 2\nmap\n..\n")
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(path.name)
+            return load_map(path)
+
+        load_map = harness.load_map
+        monkeypatch.setattr(harness, "load_map", counting_load)
+        scens = [tiny_scen("a.map", [((1, 1), (30, 1))]), tiny_scen("a.map", [((1, 2), (30, 30))]),
+                 tiny_scen("bad.map", [((1, 1), (1, 3))]), tiny_scen("bad.map", [((1, 1), (3, 1))]),
+                 tiny_scen("ghost.map", [((1, 1), (3, 1))]), tiny_scen("ghost.map", [((1, 1), (3, 3))])]
+        result = run_batch(scens, [LIAN8], maps_dir=tmp_path)
+        assert sorted(loaded) == ["a.map", "bad.map"]
+        assert len(result.records) == 2
+        assert [err.split(":")[0] for err in result.errors] == ["bad.map", "ghost.map"]
+        assert "bad map file" in result.errors[0] and "map not found" in result.errors[1]
+
     def test_record_dict_keys_in_field_order(self):
         result = run_batch(self.scens, self.configs[:1], grids=self.grids)
         record = result.records[0]

@@ -385,7 +385,10 @@ def full_scan_children(search, node):
         if node.parent is not None:
             hx, hy = col - node.parent.cell[0], row - node.parent.cell[1]
             dc, dr = cand[0] - col, cand[1] - row
-            if hx * dc + hy * dr < threshold * math.hypot(hx, hy) * math.hypot(dc, dr):
+            # A move straight on is a zero turn, whatever the rounding.
+            straight_on = hx * dr == hy * dc and hx * dc + hy * dr > 0
+            if (hx * dc + hy * dr < threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
+                    and not straight_on):
                 continue
         if (line_of_sight(grid, node.cell, cand)
                 and ident_key(search, cand, node.cell) not in search.closed):
@@ -540,6 +543,17 @@ class TestSearch:
             assert lian.path == elian.path
             assert lian.stats.expansions == elian.stats.expansions
             assert lian.stats.generated == elian.stats.generated
+
+    def test_zero_turn_limit_goes_straight_off_the_axes(self):
+        # At alpha_max = 0 only straight continuation is allowed. hypot(2, 1)
+        # squared rounds above 5, so a cosine test alone rejects every move
+        # after the first one along (2, 1) and the search dead-ends.
+        grid = Grid(np.zeros((12, 24), dtype=bool))
+        cfg = PlannerConfig(mode="lian", delta_max=2, alpha_max=0, time_cap=10)
+        out = search(grid, (0, 0), (20, 10), cfg)
+        assert out.verdict is Verdict.FOUND
+        assert out.path == [(2 * i, i) for i in range(11)]
+        assert validate_path(grid, out.path, 0.0) is None
 
     def test_blocked_endpoints_rejected(self):
         grid = parse_ascii_map("#..\n...\n...")
