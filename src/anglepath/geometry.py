@@ -109,12 +109,12 @@ def turn_bits(hx: int, hy: int, offsets: tuple[Offset, ...], threshold: float) -
     alone rejects such moves, since hypot(2, 1) ** 2 is 5.000000000000001.
     """
     heading_norm = math.hypot(hx, hy)
-    return sum(
-        1 << j
-        for j, (dc, dr) in enumerate(offsets)
-        if hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
-        or (hx * dr == hy * dc and hx * dc + hy * dr > 0)
-    )
+    bits = 0
+    for j, (dc, dr) in enumerate(offsets):
+        if (hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
+                or (hx * dr == hy * dc and hx * dc + hy * dr > 0)):
+            bits |= 1 << j
+    return bits
 
 
 @lru_cache(maxsize=None)

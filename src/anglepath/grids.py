@@ -130,6 +130,26 @@ def _as_text(data: str | bytes) -> str:
     return data
 
 
+def _decode_rows(rows: list[tuple[int, str]], width: int, blocked_chars, passable_chars) -> Grid:
+    """The Grid of ``rows``, (line number, row text) pairs of terrain characters.
+
+    Every row must hold ``width`` characters, each in ``blocked_chars`` or
+    ``passable_chars``; errors name the row's line.
+    """
+    for line, row in rows:
+        if len(row) != width:
+            raise ParseError(f"line {line}: row length {len(row)} != width {width}")
+    # Allocated only once every row matched the width, however large.
+    blocked = np.zeros((len(rows), width), dtype=bool)
+    for r, (line, row) in enumerate(rows):
+        for c, ch in enumerate(row):
+            if ch in blocked_chars:
+                blocked[r, c] = True
+            elif ch not in passable_chars:
+                raise ParseError(f"line {line}: unknown terrain character {ch!r}")
+    return Grid(blocked)
+
+
 def parse_map(data: str | bytes) -> Grid:
     """Parse a MovingAI ``.map`` file into a Grid.
 
@@ -182,26 +202,6 @@ def parse_ascii_map(data: str | bytes) -> Grid:
     if not rows:
         raise ParseError("empty map")
     return _decode_rows(rows, len(rows[0][1]), "#", ".")
-
-
-def _decode_rows(rows: list[tuple[int, str]], width: int, blocked_chars, passable_chars) -> Grid:
-    """The Grid of ``rows``, (line number, row text) pairs of terrain characters.
-
-    Every row must hold ``width`` characters, each in ``blocked_chars`` or
-    ``passable_chars``; errors name the row's line.
-    """
-    for line, row in rows:
-        if len(row) != width:
-            raise ParseError(f"line {line}: row length {len(row)} != width {width}")
-    # Allocated only once every row matched the width, however large.
-    blocked = np.zeros((len(rows), width), dtype=bool)
-    for r, (line, row) in enumerate(rows):
-        for c, ch in enumerate(row):
-            if ch in blocked_chars:
-                blocked[r, c] = True
-            elif ch not in passable_chars:
-                raise ParseError(f"line {line}: unknown terrain character {ch!r}")
-    return Grid(blocked)
 
 
 def load_map(path: str | Path) -> Grid:
