@@ -309,7 +309,7 @@ class TestRay:
     def check(self, dcol, drow, widths):
         crossed, touches = oracle_segment(dcol, drow)
         # A flat offset names one cell of the bounding box when the grid is
-        # wider than the box; no grid narrower than that holds the segment.
+        # at least as wide as the box; no narrower grid holds the segment.
         left = min(0, dcol)
         for width in widths:
             if width <= abs(dcol):
