@@ -119,13 +119,18 @@ def _cmd_bench(args) -> int:
         maps_dir = scen_paths[0].parent
 
     records_path = Path(f"{args.out}.records.jsonl")
-    records_path.unlink(missing_ok=True)
+    fresh = True
+
+    def record_sink(record) -> None:
+        # An old records file is replaced only once there is a record to write.
+        nonlocal fresh
+        if fresh:
+            records_path.write_text("", encoding="utf-8")
+            fresh = False
+        write_records([record], records_path)
+
     result = run_batch(
-        scenarios,
-        configs,
-        maps_dir=maps_dir,
-        jobs=args.jobs,
-        record_sink=lambda record: write_records([record], records_path),
+        scenarios, configs, maps_dir=maps_dir, jobs=args.jobs, record_sink=record_sink
     )
     for err in result.errors:
         print(f"warning: {err}", file=sys.stderr)

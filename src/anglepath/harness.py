@@ -157,10 +157,16 @@ def run_batch(
     parallelism degree. Up to ``jobs`` worker processes run the tasks, never
     more than there are tasks; each receives the grids once, through the
     pool's initializer, and fills its own circle tables. ``jobs < 1`` raises
-    InputError.
+    InputError, and so do two configs that would share a summary row: the
+    same name at the same alpha_max.
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
+    rows = [(cfg.name, float(cfg.alpha_max)) for cfg in configs]
+    for name, alpha in rows:
+        if rows.count((name, alpha)) > 1:
+            raise InputError(f"two configs are named {name!r} at alpha_max {alpha:g}; "
+                             "give each a distinct label")
     # None marks a map that could not be loaded.
     resolved: dict[str, Grid | None] = {}
     errors: list[str] = []

@@ -190,6 +190,45 @@ class TestBench:
         assert code == 3
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    def test_refused_batch_keeps_old_records(self, open_map, tmp_path, capsys):
+        old = tmp_path / "x.records.jsonl"
+        old.write_text("old\n")
+        scen = tmp_path / "open.scen"
+        scen.write_text("version 1\n0\topen.map\t40\t40\t5\t20\t25\t20\t20\n")
+        orphan = tmp_path / "orphan.scen"
+        orphan.write_text("version 1\n0\tghost.map\t8\t8\t0\t0\t5\t5\t5\n")
+        out = str(tmp_path / "x")
+        assert main(["bench", "--scen", str(scen), "--jobs", "0", "--out", out]) == 3
+        assert old.read_text() == "old\n"
+        assert main(["bench", "--scen", str(orphan), "--out", out]) == 3
+        assert old.read_text() == "old\n"
+        # A batch that runs replaces the old file with its own records.
+        assert main(["bench", "--scen", str(scen), "--out", out]) == 0
+        assert [r.algorithm for r in read_records(old)] == [
+            "lian-20", "elian-20-10", "elian-20-5",
+        ]
+
+    def test_configs_sharing_a_summary_row_exit_three(self, open_map, tmp_path, capsys):
+        # Two lian-3 configs at alpha 25, differing only in weight, used to
+        # be merged into one "lian-3 25 2/4" summary row.
+        scen = tmp_path / "open.scen"
+        scen.write_text("version 1\n0\topen.map\t40\t40\t5\t20\t25\t20\t20\n"
+                        "0\topen.map\t40\t40\t5\t21\t25\t21\t20\n")
+        twins = [{"mode": "lian", "delta_max": 3, "alpha_max": 25, "weight": w} for w in (1, 2)]
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps(twins))
+        out = str(tmp_path / "x")
+        args = ["bench", "--scen", str(scen), "--configs", str(configs), "--out", out]
+        assert main(args) == 3
+        assert "'lian-3'" in capsys.readouterr().err
+        assert not (tmp_path / "x.records.jsonl").exists()
+        twins[1]["label"] = "lian-3-w2"
+        configs.write_text(json.dumps(twins))
+        assert main(args) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.split()[:4] == ["lian-3", "25", "2/2", "100.00"] for row in rows)
+        assert any(row.startswith("lian-3-w2 ") for row in rows)
+
     def test_nothing_runnable_exit_three(self, tmp_path, capsys):
         orphan = tmp_path / "orphan.scen"
         orphan.write_text("version 1\n0\tghost.map\t8\t8\t0\t0\t5\t5\t5\n")

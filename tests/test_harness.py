@@ -179,6 +179,21 @@ class TestRunBatch:
         with pytest.raises(InputError, match="jobs"):
             run_batch(self.scens, self.configs, grids=self.grids, jobs=jobs)
 
+    def test_configs_sharing_a_summary_row_refused(self, monkeypatch):
+        # Same name and alpha_max would fold two configs into one summary row.
+        from dataclasses import replace
+
+        from anglepath import harness
+
+        monkeypatch.setattr(harness, "search", lambda *args: pytest.fail("searched"))
+        twin = replace(LIAN8, weight=3)
+        with pytest.raises(InputError, match="'lian-8' at alpha_max 25"):
+            run_batch(self.scens, [LIAN8, ELIAN84, twin], grids=self.grids)
+        monkeypatch.undo()
+        result = run_batch(self.scens, [LIAN8, replace(twin, label="lian-8-w3")],
+                           grids=self.grids)
+        assert [r.algorithm for r in result.records] == ["lian-8"] * 2 + ["lian-8-w3"] * 2
+
     def test_pool_no_larger_than_the_batch(self):
         # Two tasks at jobs=6 need two workers, not six.
         import multiprocessing
