@@ -1,20 +1,20 @@
 """Exact grid geometry: distances, turn angles, discrete circles, line of sight.
 
 Cells are unit squares centered on integer (col, row) coordinates. All
-predicates here are exact: the segment traversal and the circle rasterizer
+predicates here are exact: the segment layout and the circle rasterizer
 use integer arithmetic only, so results are identical across platforms.
 The turn test, turn_bits(), is the one floating-point predicate; arc_window
 and the planner's goal test both call it, so they agree bit for bit.
 
-A segment is tested as a ray: ray() gathers the cells it crosses, in one
-boundary-crossing traversal, into row or column runs, each read from the
-grid's free-run tables (a run is free when the table entry at its first cell
-covers its length), plus the corner pairs it pinches. sight_bits() is the
+A segment is tested as a ray: ray() lays out the cells it crosses, in
+closed form, as row or column runs, each read from the grid's free-run
+tables (a run is free when the table entry at its first cell covers its
+length), plus the corner pairs it pinches. sight_bits() is the
 one routine that runs this test: over the rays a bitmask selects, such as
 the delta-circle offsets one expansion may move to, answering with a
 bitmask. line_of_sight() asks it for a single ray. Everything here is a
 pure function of its arguments; the caches are lru_caches keyed by them,
-and the planner keeps its own per-grid memo.
+and the planner keeps its own per-grid rings of circle rays.
 """
 
 from __future__ import annotations
@@ -149,47 +149,38 @@ def ray(width: int, dcol: int, drow: int) -> Ray:
     passage is blocked only when both members of a pair are blocked (a
     sealed diagonal). Every cell lies in the bounding box of the two
     endpoints, so the flat offsets are exact for any width above |dcol|.
+    Runs and pairs come in segment order from the origin.
+
+    No traversal is needed: with major and minor lengths da >= db, the
+    segment crosses minor boundary b + 1/2 at major position
+    (2b+1)*da / (2db), so line b holds the cells between the crossings of
+    b - 1/2 and b + 1/2, and a crossing is a lattice corner exactly when
+    (2b+1)*da is an odd multiple of db.
     """
     sx = -1 if dcol < 0 else 1
     sy = -1 if drow < 0 else 1
-    dx, dy = abs(dcol), abs(drow)
-    along_rows = dx >= dy
-    # [line, lowest position, highest position] per run. The traversal
-    # moves one cell at a time, so consecutive cells on one line are adjacent.
-    spans = [[0, 0, 0]]
+    along_rows = abs(dcol) >= abs(drow)
+    da, db = (abs(dcol), abs(drow)) if along_rows else (abs(drow), abs(dcol))
+    # Flat offset of one step along the major axis and of one line across it.
+    step, line_step = (sx, sy * width) if along_rows else (sy * width, sx)
+    runs = []
     pairs = []
-    c = r = 0
-    i = j = 1
-    # Merge the vertical (x = i - 1/2) and horizontal (y = j - 1/2) boundary
-    # crossings in parameter order; (2i-1)*dy vs (2j-1)*dx compares the exact
-    # crossing parameters without division.
-    while i <= dx or j <= dy:
-        if j > dy or (i <= dx and (2 * i - 1) * dy < (2 * j - 1) * dx):
-            c += 1
-            i += 1
-        elif i > dx or (2 * i - 1) * dy > (2 * j - 1) * dx:
-            r += 1
-            j += 1
-        else:
-            # Exact pass through a lattice corner: diagonal step, and the
-            # two cells touched only at that corner form a pinch pair.
-            pairs.append((sy * r * width + sx * (c + 1), sy * (r + 1) * width + sx * c))
-            c += 1
-            r += 1
-            i += 1
-            j += 1
-        line, pos = (sy * r, sx * c) if along_rows else (sx * c, sy * r)
-        last = spans[-1]
-        if last[0] == line and last[2] - last[1] + 1 < MAX_RUN:
-            last[1] = min(last[1], pos)
-            last[2] = max(last[2], pos)
-        else:
-            spans.append([line, pos, pos])
-    runs = tuple(
-        (line * width + lo if along_rows else lo * width + line, hi - lo + 1)
-        for line, lo, hi in spans
-    )
-    return along_rows, runs, tuple(pairs)
+    lo = 0
+    for b in range(db + 1):
+        cross = (2 * b + 1) * da
+        hi = da if b == db else (cross + db - 1) // (2 * db)
+        # Chunks from the origin side; a run's offset is its lowest-index cell.
+        for first in range(lo, hi + 1, MAX_RUN):
+            last = min(first + MAX_RUN - 1, hi)
+            runs.append((b * line_step + (first if step > 0 else last) * step, last - first + 1))
+        if b < db:
+            if cross % db == 0 and cross // db % 2:
+                # The corner (c + 1/2, r + 1/2) pinches (c + 1, r) and (c, r + 1).
+                m = cross // db // 2
+                c, r = (m, b) if along_rows else (b, m)
+                pairs.append((sy * r * width + sx * (c + 1), sy * (r + 1) * width + sx * c))
+            lo = (cross - db) // (2 * db) + 1
+    return along_rows, tuple(runs), tuple(pairs)
 
 
 def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
@@ -205,19 +196,6 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
         return False
     dc, dr = b[0] - a[0], b[1] - a[1]
     return sight_bits(grid, a, ((dc, dr, ray(width, dc, dr)),), 1) == 1
-
-
-@lru_cache(maxsize=None)
-def circle_rays(width: int, height: int, radius: int) -> tuple[tuple[int, int, Ray | None], ...]:
-    """circle_offsets(radius) as (dcol, drow, ray) on a grid of this size.
-
-    The ray is None for an offset that lands in a width x height grid from
-    no cell.
-    """
-    return tuple(
-        (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
-        for dc, dr in circle_offsets(radius)
-    )
 
 
 @lru_cache(maxsize=1 << 14)

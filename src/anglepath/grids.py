@@ -56,10 +56,11 @@ class Grid:
     ``free_right[i] >= n`` (``free_down[i] >= n`` for a column run), for
     n <= MAX_RUN, and a cell is blocked iff its ``free_right`` entry is 0.
 
-    ``circle_tables`` is planner.Search's memo of delta-circle visibility
-    on this grid; only that class reads or writes it, and its docstring
-    gives the format. It is derived data: pickling drops it and searches
-    on the unpickled grid fill it again as they go.
+    ``circle_tables`` holds planner.Search's delta-circle rings on this
+    grid, one per radius: the circle's steps, its rays and the memo of
+    what each cell sees on it. Only that class reads or writes it, and its
+    docstring gives the format. It is derived data: pickling drops it and
+    searches on the unpickled grid fill it again as they go.
     """
 
     __slots__ = (
@@ -76,7 +77,7 @@ class Grid:
         self.blocked = blocked
         self.free_right = _free_runs(blocked).tobytes()
         self.free_down = _free_runs(blocked.T).T.tobytes()
-        self.circle_tables: dict[int, dict[int, int]] = {}
+        self.circle_tables: dict[int, tuple] = {}
 
     def __reduce__(self):
         # Rebuild through __init__: numpy unpickles arrays writeable, and the

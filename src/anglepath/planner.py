@@ -21,9 +21,10 @@ from enum import Enum
 from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
-    circle_rays,
+    circle_offsets,
     euclid,
     line_of_sight,
+    ray,
     sight_bits,
     turn_angle,
     turn_bits,
@@ -258,11 +259,16 @@ class Search:
     ladder level. An entry's SearchNode is built only when it is popped and
     its key is not yet closed, so stale duplicates allocate nothing.
 
-    Only this class reads or writes the grid's ``circle_tables``, a memo
-    that all searches on the grid share. Per radius it maps a cell's flat
-    index to ``asked << n | seen`` over the n offsets of circle_offsets():
-    bit j of ``asked`` is set once offset j was tested from the cell, bit j
-    of ``seen`` iff its target lies in the grid and in sight of the cell.
+    Only this class reads or writes the grid's ``circle_tables``. It maps
+    each radius a search reached to its ring ``(radius, steps, n,
+    (1 << n) - 1, memo, rays)``, built once per grid over the n offsets of
+    circle_offsets(). Step j is (dcol, drow, hypot, key shift) of offset j;
+    rays[j] is (dcol, drow, ray), the ray None if the offset lands in the
+    grid from no cell. The memo maps a cell's flat index to ``asked << n |
+    seen``: bit j of ``asked`` is set once offset j was tested from the
+    cell, bit j of ``seen`` iff its target lies in the grid and in sight of
+    the cell. A circle of radius >= 2 * max(width, height) lies farther out
+    than any two cells are apart: its ring has no offsets.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -287,24 +293,23 @@ class Search:
         self._rings: list = [None] * len(self.levels)
 
     def _ring(self, level: int) -> tuple:
-        # (radius, steps, count, full mask, the grid's memo for the radius,
-        # circle_rays) of a ladder level. Step j is offset j of the circle as
-        # (dcol, drow, hypot(dcol, drow), the offset's key shift). A circle of
-        # radius >= 2 * max(width, height) lies farther out than any two
-        # cells are apart: it gets no steps and is skipped unrasterized.
+        # A ladder level's ring, built on the grid by the first search that
+        # reaches its radius.
         grid = self.grid
         radius = max(1, round(self.levels[level]))
-        if radius >= 2 * max(grid.width, grid.height):
-            ring = (radius, None, 0, 0, None, None)
-        else:
-            height, base = grid.height, self._key_base
-            rays = circle_rays(grid.width, height, radius)
+        ring = grid.circle_tables.get(radius)
+        if ring is None:
+            width, height, base = grid.width, grid.height, self._key_base
+            circle = () if radius >= 2 * max(width, height) else circle_offsets(radius)
             steps = tuple(
-                (dc, dr, math.hypot(dc, dr), (dc * height + dr) * base) for dc, dr, _ in rays
+                (dc, dr, math.hypot(dc, dr), (dc * height + dr) * base) for dc, dr in circle
             )
-            count = len(steps)
-            ring = (radius, steps, count, (1 << count) - 1,
-                    grid.circle_tables.setdefault(radius, {}), rays)
+            rays = tuple(
+                (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
+                for dc, dr in circle
+            )
+            ring = grid.circle_tables[radius] = (
+                radius, steps, len(steps), (1 << len(steps)) - 1, {}, rays)
         self._rings[level] = ring
         return ring
 
@@ -350,15 +355,15 @@ class Search:
         goal_shift = (gdc * grid.height + gdr) * base
         level = node.level
         while True:
-            radius, targets, count, full, table, rays = self._rings[level] or self._ring(level)
+            radius, targets, count, full, memo, rays = self._rings[level] or self._ring(level)
             survivors = []
-            if targets is not None:
+            if targets:
                 need = full if parent is None else arc_window(radius, hx, hy, self.cfg.alpha_max)
-                bits = table.get(flat, 0)
+                bits = memo.get(flat, 0)
                 missing = need & ~(bits >> count)
                 if missing:
                     bits |= missing << count | sight_bits(grid, cell, rays, missing)
-                    table[flat] = bits
+                    memo[flat] = bits
                 bits &= need
                 while bits:
                     low = bits & -bits

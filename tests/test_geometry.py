@@ -13,7 +13,7 @@ from anglepath import (
     turn_angle,
 )
 from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
-from anglepath.geometry import arc_window, circle_rays, ray, sight_bits, turn_cos_threshold
+from anglepath.geometry import arc_window, ray, sight_bits, turn_cos_threshold
 from anglepath.grids import MAX_RUN
 from oracles import circle_oracle, los_oracle, segment_box_intersection
 
@@ -317,16 +317,30 @@ class TestRay:
             along_rows, runs, pairs = ray(width, dcol, drow)
             assert along_rows == (abs(dcol) >= abs(drow))
             step = 1 if along_rows else width
-            cells = []
+
+            def cell(off):
+                dr, dc = divmod(off - left, width)
+                return dc + left, dr
+
+            run_cells = []
             for off, length in runs:
                 assert 1 <= length <= MAX_RUN, (dcol, drow, width)
-                for t in range(length):
-                    dr, dc = divmod(off + t * step - left, width)
-                    cells.append((dc + left, dr))
+                run_cells.append([cell(off + t * step) for t in range(length)])
+            cells = [c for run in run_cells for c in run]
             assert sorted(cells) == sorted(crossed), (dcol, drow, width)
             assert sorted(tuple(sorted(p)) for p in pairs) == sorted(
                 tuple(sorted(dr * width + dc for dc, dr in pair)) for pair in touches
             ), (dcol, drow, width)
+            # Segment order from the origin: each run lies wholly beyond the
+            # one before it, and each pinched corner beyond the one before.
+            along = [[dc * dcol + dr * drow for dc, dr in run] for run in run_cells]
+            assert (0, 0) in run_cells[0] and (dcol, drow) in run_cells[-1]
+            assert all(max(a) < min(b) for a, b in zip(along, along[1:])), (dcol, drow, width)
+            corners = [
+                (c1 + c2) * dcol + (r1 + r2) * drow
+                for (c1, r1), (c2, r2) in ((cell(o1), cell(o2)) for o1, o2 in pairs)
+            ]
+            assert corners == sorted(set(corners)), (dcol, drow, width)
 
     def test_runs_cover_each_crossed_cell_once(self):
         for dcol in range(-25, 26):
@@ -360,8 +374,13 @@ def visible_offsets(grid, radius, cell, need=None):
     """The circle offsets selected by need (default all) that cell sees."""
     circle = circle_offsets(radius)
     full = (1 << len(circle)) - 1
-    rays = circle_rays(grid.width, grid.height, radius)
-    assert [(dc, dr) for dc, dr, _ in rays] == list(circle)
+    # As planner.Search lays out a ring: no ray for an offset that lands
+    # in the grid from no cell.
+    rays = tuple(
+        (dc, dr, ray(grid.width, dc, dr) if abs(dc) < grid.width and abs(dr) < grid.height
+         else None)
+        for dc, dr in circle
+    )
     bits = sight_bits(grid, cell, rays, full if need is None else need)
     assert bits & ~(full if need is None else need) == 0
     return mask_offsets(circle, bits)
@@ -417,17 +436,12 @@ class TestVisibleTargets:
                 walked.append(self.j)
                 return tuple.__iter__(self)
 
-        def counting_rays(*args):
-            counted = []
-            for j, (dc, dr, ray) in enumerate(planner_rays(*args)):
-                if ray is not None:
-                    ray = CountingRay(ray)
-                    ray.j = j
-                counted.append((dc, dr, ray))
-            return tuple(counted)
+        def counting_ray(width, dcol, drow):
+            counted = CountingRay(ray(width, dcol, drow))
+            counted.j = circle_offsets(2).index((dcol, drow))
+            return counted
 
-        planner_rays = planner.circle_rays
-        monkeypatch.setattr(planner, "circle_rays", counting_rays)
+        monkeypatch.setattr(planner, "ray", counting_ray)
         cfg = PlannerConfig(mode="lian", delta_max=2, alpha_max=30)
 
         def children(grid, parent):
@@ -447,8 +461,11 @@ class TestVisibleTargets:
         assert walked == [0, 1, 2, 3]
         assert children(g, (0, -1)) == [(0, 2)]  # heading south: bits 2-4
         assert len(walked) == 4  # every offset was asked before
-        # One entry per asked cell: asked bits above the seen ones.
-        assert g.circle_tables == {2: {0: 0xFFF << 12 | 0b1001}}
+        # One ring per radius, and in its memo one entry per asked cell:
+        # asked bits above the seen ones.
+        assert list(g.circle_tables) == [2]
+        radius, steps, count, full, memo, rays = g.circle_tables[2]
+        assert memo == {0: 0xFFF << 12 | 0b1001}
         fresh = grid_of("...\n.#.\n...")
         assert fresh.circle_tables == {}
         assert children(fresh, (-1, 0)) == [(2, 0)]

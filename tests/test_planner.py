@@ -486,7 +486,8 @@ class TestHugeDelta:
         assert time.perf_counter() - t0 < 0.2 + 2.0
         assert out.verdict is Verdict.TIMEOUT
         # The kept answers grow with the cells expanded, not with the map.
-        assert 1 <= len(grid.circle_tables[600]) <= out.stats.expansions
+        radius, steps, count, full, memo, rays = grid.circle_tables[600]
+        assert 1 <= len(memo) <= out.stats.expansions
 
 
 class TestSearch:
@@ -518,6 +519,21 @@ class TestSearch:
             line_of_sight(grid, a, b) for a, b in zip(elian.path, elian.path[1:])
         )
         assert elian.stats.reinsertions > 0
+
+    def test_second_search_reuses_the_grid_rings(self):
+        # A radius's ring is built by the first search on the grid to reach
+        # it; a later search takes the very same objects.
+        grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
+        cfg = PlannerConfig(mode="elian", delta_max=8, delta_min=2, k=0.5, alpha_max=25)
+        first = Search(grid, start, goal, cfg)
+        first.run()
+        assert sorted(grid.circle_tables) == [2, 4, 8]
+        second = Search(grid, start, goal, cfg)
+        second.run()
+        assert None not in first._rings
+        for level, ring in enumerate(first._rings):
+            assert second._rings[level] is ring
+            assert grid.circle_tables[ring[0]] is ring
 
     def test_degenerate_elian_equals_lian(self):
         rng = random.Random(5150)
