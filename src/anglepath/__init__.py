@@ -8,8 +8,6 @@ from .grids import (
     Instance,
     ParseError,
     ScenarioSet,
-    check_instance,
-    is_traversable,
     load_map,
     load_scen,
     parse_ascii_map,
@@ -31,34 +29,3 @@ from .planner import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Cell",
-    "Grid",
-    "InputError",
-    "Instance",
-    "Outcome",
-    "ParseError",
-    "PathViolation",
-    "PlannerConfig",
-    "ScenarioSet",
-    "Search",
-    "SearchNode",
-    "SearchStats",
-    "Verdict",
-    "check_instance",
-    "circle_offsets",
-    "delta_levels",
-    "euclid",
-    "is_traversable",
-    "line_of_sight",
-    "load_map",
-    "load_scen",
-    "parse_ascii_map",
-    "parse_map",
-    "parse_scen",
-    "reconstruct_path",
-    "search",
-    "turn_angle",
-    "validate_path",
-]

@@ -78,23 +78,27 @@ def _cmd_plan(args) -> int:
     })
     instance = Instance(map_id=Path(args.map).name, start=_parse_cell(args.start), goal=_parse_cell(args.goal))
     record = run_instance(grid, instance, cfg)
-    print(f"verdict: {record.verdict.value}")
-    print(f"algorithm: {record.algorithm}")
-    print(f"runtime_s: {record.runtime_s:.4f}")
-    print(f"expansions: {record.expansions}")
-    print(f"reinsertions: {record.reinsertions}")
+    lines = [
+        f"verdict: {record.verdict.value}",
+        f"algorithm: {record.algorithm}",
+        f"runtime_s: {record.runtime_s:.4f}",
+        f"expansions: {record.expansions}",
+        f"reinsertions: {record.reinsertions}",
+    ]
     if record.verdict is Verdict.FOUND:
-        print(f"path_length: {record.path_length:.4f}")
-        print(f"accumulated_angle_deg: {record.accumulated_angle_deg:.4f}")
-        print("path: " + " ".join(f"{c},{r}" for c, r in record.path))
-        if args.svg:
-            render_svg(grid, record.path, out=args.svg)
-            print(f"svg: {args.svg}")
-        return EXIT_FOUND
+        lines += [
+            f"path_length: {record.path_length:.4f}",
+            f"accumulated_angle_deg: {record.accumulated_angle_deg:.4f}",
+            "path: " + " ".join(f"{c},{r}" for c, r in record.path),
+        ]
     if args.svg:
-        render_svg(grid, None, out=args.svg)
-        print(f"svg: {args.svg}")
-    return EXIT_TIMEOUT if record.verdict is Verdict.TIMEOUT else EXIT_NOT_FOUND
+        # Written before anything is printed: a path that cannot be written
+        # ends in exit 3 with nothing on stdout.
+        render_svg(grid, record.path, out=args.svg)
+        lines.append(f"svg: {args.svg}")
+    print("\n".join(lines))
+    return {Verdict.FOUND: EXIT_FOUND, Verdict.NOT_FOUND: EXIT_NOT_FOUND,
+            Verdict.TIMEOUT: EXIT_TIMEOUT}[record.verdict]
 
 
 def _load_configs(path: str | None) -> list[PlannerConfig]:
@@ -114,6 +118,9 @@ def _cmd_bench(args) -> int:
     scen_paths = [Path(p) for p in args.scen]
     scenarios = [load_scen(p) for p in scen_paths]
     configs = _load_configs(args.configs)
+    baseline = args.baseline or configs[0].name
+    if baseline not in {cfg.name for cfg in configs}:
+        raise InputError(f"unknown baseline label {baseline!r}")
     maps_dir = args.maps_dir
     if maps_dir is None and scen_paths:
         maps_dir = scen_paths[0].parent
@@ -138,7 +145,6 @@ def _cmd_bench(args) -> int:
         print("error: no instances were run", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    baseline = args.baseline or configs[0].name
     report = aggregate(result.records, baseline=baseline)
     summary_path = Path(f"{args.out}.summary.{args.format}")
     summary_path.write_text(emit_report(report, args.format), encoding="utf-8")

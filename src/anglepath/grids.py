@@ -90,12 +90,6 @@ class Grid:
     def blocked_at(self, col: int, row: int) -> bool:
         return not self.free_right[row * self.width + col]
 
-    def blocked_count(self) -> int:
-        return int(self.blocked.sum())
-
-    def __repr__(self) -> str:
-        return f"Grid({self.width}x{self.height}, {self.blocked_count()} blocked)"
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -275,21 +269,3 @@ def parse_scen(data: str | bytes) -> ScenarioSet:
 def load_scen(path: str | Path) -> ScenarioSet:
     return parse_scen(Path(path).read_bytes())
 
-
-def is_traversable(grid: Grid, cell: Cell) -> bool:
-    """True iff the cell is in bounds and not blocked."""
-    col, row = cell
-    return grid.in_bounds(col, row) and not grid.blocked_at(col, row)
-
-
-def check_instance(grid: Grid, instance: Instance) -> None:
-    """Reject instances whose endpoints are unusable before any search runs."""
-    for label, cell in (("start", instance.start), ("goal", instance.goal)):
-        col, row = cell
-        if not grid.in_bounds(col, row):
-            raise InputError(
-                f"{instance.instance_id}: {label} ({col},{row}) out of bounds "
-                f"for {grid.width}x{grid.height} map"
-            )
-        if grid.blocked_at(col, row):
-            raise InputError(f"{instance.instance_id}: {label} ({col},{row}) is blocked")

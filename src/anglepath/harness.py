@@ -18,16 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import euclid, turn_angle
-from .grids import (
-    Cell,
-    Grid,
-    InputError,
-    Instance,
-    ParseError,
-    ScenarioSet,
-    check_instance,
-    load_map,
-)
+from .grids import Cell, Grid, InputError, Instance, ParseError, ScenarioSet, load_map
 from .planner import PlannerConfig, Verdict, search
 
 
@@ -83,7 +74,6 @@ def accumulated_angle(path: Sequence[Cell]) -> float:
 
 def run_instance(grid: Grid, instance: Instance, cfg: PlannerConfig) -> RunRecord:
     """Run one search and package the result; runtime covers the search only."""
-    check_instance(grid, instance)
     outcome = search(grid, instance.start, instance.goal, cfg)
     length = angle = None
     path = None
@@ -120,7 +110,7 @@ def _run_set(
         try:
             records.append(run_instance(grid, instance, cfg))
         except InputError as exc:
-            errors.append(f"{scen.map_id}: skipped instance: {exc}")
+            errors.append(f"{scen.map_id}: skipped instance {instance.instance_id}: {exc}")
     return records, errors
 
 
@@ -157,11 +147,18 @@ def run_batch(
     parallelism degree. Up to ``jobs`` worker processes run the tasks, never
     more than there are tasks; each receives the grids once, through the
     pool's initializer, and fills its own circle tables. ``jobs < 1`` raises
-    InputError, and so do two configs that would share a summary row: the
-    same name at the same alpha_max.
+    InputError, and so do two configs that would share a summary row (the
+    same name at the same alpha_max) and an instance_id that appears twice,
+    which aggregate() would count twice as run but once as solved.
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
+    scenarios = list(scenarios)
+    seen: set[str] = set()
+    for instance_id in (inst.instance_id for scen in scenarios for inst in scen.instances):
+        if instance_id in seen:
+            raise InputError(f"instance {instance_id} appears twice in the batch")
+        seen.add(instance_id)
     rows = [(cfg.name, float(cfg.alpha_max)) for cfg in configs]
     for name, alpha in rows:
         if rows.count((name, alpha)) > 1:

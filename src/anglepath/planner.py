@@ -30,7 +30,7 @@ from .geometry import (
     turn_bits,
     turn_cos_threshold,
 )
-from .grids import Cell, Grid, InputError, is_traversable
+from .grids import Cell, Grid, InputError
 
 LIAN = "lian"
 ELIAN = "elian"
@@ -167,10 +167,6 @@ class SearchNode:
         self.f = f
         self.level = level
 
-    def __repr__(self) -> str:
-        bp = self.parent.cell if self.parent else None
-        return f"SearchNode({self.cell}, bp={bp}, g={self.g:.3f}, level={self.level})"
-
 
 @dataclass
 class SearchStats:
@@ -272,10 +268,12 @@ class Search:
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
-        if not is_traversable(grid, start):
-            raise InputError(f"start {start} is blocked or out of bounds")
-        if not is_traversable(grid, goal):
-            raise InputError(f"goal {goal} is blocked or out of bounds")
+        for label, (col, row) in (("start", start), ("goal", goal)):
+            if not grid.in_bounds(col, row):
+                raise InputError(f"{label} ({col},{row}) out of bounds "
+                                 f"for {grid.width}x{grid.height} map")
+            if grid.blocked_at(col, row):
+                raise InputError(f"{label} ({col},{row}) is blocked")
         if start == goal:
             raise InputError("start and goal coincide; nothing to plan")
         self.grid = grid
@@ -444,5 +442,9 @@ class Search:
 
 
 def search(grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig) -> Outcome:
-    """Plan an angle-constrained path from start to goal on the grid."""
+    """Plan an angle-constrained path from start to goal on the grid.
+
+    InputError names an endpoint that is out of bounds or blocked, and
+    refuses start == goal.
+    """
     return Search(grid, start, goal, cfg).run()

@@ -207,7 +207,7 @@ def bench_report(tmp_path_factory):
         for mode, dmin in (("lian", 20), ("elian", 10), ("elian", 5))
     ]
     t0 = time.perf_counter()
-    result = run_batch(scenarios, configs, maps_dir=root, jobs=1)
+    result = run_batch(scenarios, configs, maps_dir=root, jobs=2)
     elapsed = time.perf_counter() - t0
     assert not result.errors, result.errors
     assert len(result.records) == 5 * 20 * len(configs)

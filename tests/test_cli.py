@@ -52,6 +52,16 @@ class TestPlan:
         assert code == 0
         assert svg.exists() and "<polyline" in svg.read_text()
 
+    def test_unwritable_svg_prints_nothing(self, open_map, tmp_path, capsys):
+        code = main([
+            "plan", "--map", str(open_map), "--start", "5,20", "--goal", "25,20",
+            "--svg", str(tmp_path / "nodir" / "y.svg"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_not_found_exit_one(self, corridor_map):
         path, start, goal = corridor_map
         code = main([
@@ -228,6 +238,36 @@ class TestBench:
         rows = capsys.readouterr().out.splitlines()
         assert any(row.split()[:4] == ["lian-3", "25", "2/2", "100.00"] for row in rows)
         assert any(row.startswith("lian-3-w2 ") for row in rows)
+
+    def test_unknown_baseline_exit_three_before_any_search(
+        self, open_map, tmp_path, capsys, monkeypatch
+    ):
+        from anglepath import harness
+
+        monkeypatch.setattr(harness, "search", lambda *args: pytest.fail("searched"))
+        old = tmp_path / "x.records.jsonl"
+        old.write_bytes(b"old\n")
+        scen = tmp_path / "open.scen"
+        scen.write_text("version 1\n0\topen.map\t40\t40\t5\t20\t25\t20\t20\n")
+        code = main(["bench", "--scen", str(scen), "--out", str(tmp_path / "x"),
+                     "--baseline", "lian-2O"])
+        assert code == 3
+        assert "unknown baseline label 'lian-2O'" in capsys.readouterr().err
+        assert old.read_bytes() == b"old\n"
+
+    def test_repeated_instance_exit_three(self, open_map, tmp_path, capsys):
+        # A repeat would count twice as run but once as solved: "1/2 50.00"
+        # for an instance every config solves.
+        line = "0\topen.map\t40\t40\t5\t20\t25\t20\t20\n"
+        once = tmp_path / "once.scen"
+        once.write_text("version 1\n" + line)
+        twice = tmp_path / "twice.scen"
+        twice.write_text("version 1\n" + line + line)
+        out = str(tmp_path / "x")
+        for scens in ([once, once], [twice]):
+            assert main(["bench", "--scen", *map(str, scens), "--out", out]) == 3
+            assert "open.map:5,20->25,20 appears twice" in capsys.readouterr().err
+        assert not (tmp_path / "x.records.jsonl").exists()
 
     def test_nothing_runnable_exit_three(self, tmp_path, capsys):
         orphan = tmp_path / "orphan.scen"

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 import mapgen
 from anglepath import (
-    InputError,
-    Instance,
     ParseError,
-    check_instance,
-    is_traversable,
     load_map,
     load_scen,
     parse_ascii_map,
@@ -29,11 +25,11 @@ class TestParseMap:
         assert not g.blocked_at(0, 0)
         assert not g.blocked_at(0, 1)
         assert not g.blocked_at(1, 1)
-        assert g.blocked_count() == 1
+        assert int(g.blocked.sum()) == 1
 
     def test_all_passable(self):
         g = parse_map("type octile\nheight 2\nwidth 2\nmap\n..\n..\n")
-        assert g.blocked_count() == 0
+        assert int(g.blocked.sum()) == 0
 
     def test_large_map_blocked_tally(self):
         # Independent tally: count blocked characters in the file body.
@@ -42,7 +38,7 @@ class TestParseMap:
         expected = sum(body.count(ch) for ch in "@OTW")
         g = parse_map(text)
         assert (g.width, g.height) == (512, 512)
-        assert g.blocked_count() == expected
+        assert int(g.blocked.sum()) == expected
 
     def test_terrain_classification(self):
         g = parse_map("type octile\nheight 1\nwidth 7\nmap\n.GS@OTW\n")
@@ -87,7 +83,7 @@ class TestParseAscii:
         g = parse_ascii_map("..#\n.#.\n...")
         assert (g.width, g.height) == (3, 3)
         assert g.blocked_at(2, 0) and g.blocked_at(1, 1)
-        assert g.blocked_count() == 2
+        assert int(g.blocked.sum()) == 2
 
     def test_ragged_rejected(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -203,26 +199,7 @@ def test_parse_scen_fuzz(data):
 
 
 class TestTraversable:
-    def test_free_center(self):
-        g = parse_ascii_map("...\n...\n...")
-        assert is_traversable(g, (1, 1))
-
-    def test_out_of_bounds_false(self):
-        g = parse_ascii_map("...\n...\n...")
-        assert not is_traversable(g, (3, 1))
-        assert not is_traversable(g, (1, -1))
-
-    def test_blocked_false(self):
-        g = parse_map(SMALL_MAP)
-        assert not is_traversable(g, (1, 0))
-
-    def test_check_instance_rejects_blocked_endpoints(self):
-        g = parse_map(SMALL_MAP)
-        with pytest.raises(InputError, match="blocked"):
-            check_instance(g, Instance("m", (1, 0), (0, 1)))
-        with pytest.raises(InputError, match="out of bounds"):
-            check_instance(g, Instance("m", (0, 0), (5, 5)))
-        check_instance(g, Instance("m", (0, 0), (1, 1)))
+    """The occupancy matrix and free-run tables that decide traversability."""
 
     def test_grid_immutable(self):
         import numpy as np
@@ -235,7 +212,7 @@ class TestTraversable:
 
         g2 = Grid(src)
         src[0, 0] = True  # must not leak into the grid
-        assert g2.blocked_count() == 0
+        assert int(g2.blocked.sum()) == 0
         for table in (g2.free_right, g2.free_down):
             assert type(table) is bytes
 

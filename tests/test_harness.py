@@ -148,7 +148,7 @@ class TestRunBatch:
         scen = tiny_scen("b.map", [((5, 5), (30, 30)), ((1, 1), (30, 30))])
         result = run_batch([scen], [LIAN8], grids={"b.map": Grid(blocked)})
         assert len(result.records) == 1
-        assert len(result.errors) == 1 and "blocked" in result.errors[0]
+        assert result.errors == ["b.map: skipped instance b.map:5,5->30,30: start (5,5) is blocked"]
 
     def test_workers_receive_each_grid_once(self, monkeypatch):
         # Grids reach the workers through the pool initializer, not inside
@@ -193,6 +193,20 @@ class TestRunBatch:
         result = run_batch(self.scens, [LIAN8, replace(twin, label="lian-8-w3")],
                            grids=self.grids)
         assert [r.algorithm for r in result.records] == ["lian-8"] * 2 + ["lian-8-w3"] * 2
+
+    def test_repeated_instance_refused(self, tmp_path, monkeypatch):
+        # aggregate() keys solved sets by instance_id: a repeat would count
+        # twice as run but once as solved. No map is loaded, nothing searched.
+        from anglepath import harness
+
+        monkeypatch.setattr(harness, "load_map", lambda *args: pytest.fail("loaded"))
+        monkeypatch.setattr(harness, "search", lambda *args: pytest.fail("searched"))
+        other = tiny_scen("b.map", [((1, 1), (30, 1))])
+        twice = tiny_scen("a.map", [((1, 1), (30, 1)), ((1, 2), (30, 30)), ((1, 2), (30, 30))])
+        for scens, repeated in (([self.scens[0], other, self.scens[0]], "a.map:1,1->30,1"),
+                                ([twice], "a.map:1,2->30,30")):
+            with pytest.raises(InputError, match=f"instance {repeated} appears twice"):
+                run_batch(scens, self.configs, maps_dir=tmp_path)
 
     def test_pool_no_larger_than_the_batch(self):
         # Two tasks at jobs=6 need two workers, not six.
@@ -466,7 +480,7 @@ class TestSvg:
         from anglepath.svg import render_svg
 
         text = render_svg(grid, None)
-        assert text.count('<rect class="b"') == grid.blocked_count()
+        assert text.count('<rect class="b"') == int(grid.blocked.sum())
 
     def test_deterministic_and_writes_file(self, tmp_path):
         from anglepath.svg import render_svg

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -579,6 +580,25 @@ class TestSearch:
             search(grid, (2, 2), (0, 0), LIAN20)
         with pytest.raises(InputError):
             search(grid, (1, 1), (1, 1), LIAN20)
+
+    @pytest.mark.parametrize(
+        "start, goal, message",
+        [
+            ((0, 0), (2, 2), "start (0,0) is blocked"),
+            ((2, 2), (0, 0), "goal (0,0) is blocked"),
+            ((3, 1), (2, 2), "start (3,1) out of bounds for 3x3 map"),
+            ((1, -1), (2, 2), "start (1,-1) out of bounds for 3x3 map"),
+            # (-1, 1) falls on a free entry of the row-major tables.
+            ((2, 2), (-1, 1), "goal (-1,1) out of bounds for 3x3 map"),
+            ((1, 1), (2, 3), "goal (2,3) out of bounds for 3x3 map"),
+        ],
+        ids=["blocked-start", "blocked-goal", "start-past-width", "negative-start",
+             "negative-goal", "goal-past-height"],
+    )
+    def test_unusable_endpoint_named(self, start, goal, message):
+        grid = parse_ascii_map("#..\n...\n...")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Search(grid, start, goal, LIAN20)
 
     def test_timeout_reports_stats(self):
         grid = empty_grid(200)
