@@ -1,6 +1,6 @@
 """Command-line interface: plan single instances, bench scenario batches.
 
-Exit codes: 0 path found / batch ok, 1 not found, 2 timeout, 3 input error.
+Exit codes: 0 path found / batch ok, 1 not found, 2 timeout, 3 input or usage error.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ EXIT_TIMEOUT = 2
 EXIT_INPUT_ERROR = 3
 
 DEFAULT_BENCH_CONFIGS = [
-    {"mode": mode, "delta_max": 20, "delta_min": delta_min, "k": 0.5, "alpha_max": 25,
-     "weight": 2, "time_cap": 30}
+    PlannerConfig(mode=mode, delta_min=delta_min)
     for mode, delta_min in (("lian", 20), ("elian", 10), ("elian", 5))
 ]
 
@@ -103,14 +102,13 @@ def _cmd_plan(args) -> int:
 
 def _load_configs(path: str | None) -> list[PlannerConfig]:
     if path is None:
-        raw = DEFAULT_BENCH_CONFIGS
-    else:
-        try:
-            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-        if not isinstance(raw, list) or not raw:
-            raise InputError("config file must hold a nonempty JSON list")
+        return DEFAULT_BENCH_CONFIGS
+    try:
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    if not isinstance(raw, list) or not raw:
+        raise InputError("config file must hold a nonempty JSON list")
     return [PlannerConfig.from_dict(item) for item in raw]
 
 
@@ -164,8 +162,12 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse ends --help in exit 0 and a usage error, after printing
+        # it on stderr, in exit 2, which here means TIMEOUT.
+        return EXIT_FOUND if exc.code == 0 else EXIT_INPUT_ERROR
     try:
         if args.command == "plan":
             return _cmd_plan(args)

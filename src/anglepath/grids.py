@@ -112,9 +112,6 @@ class ScenarioSet:
     map_id: str
     instances: tuple[Instance, ...]
 
-    def __len__(self) -> int:
-        return len(self.instances)
-
 
 def _as_text(data: str | bytes) -> str:
     if isinstance(data, bytes):

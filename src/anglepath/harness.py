@@ -358,10 +358,14 @@ def write_records(records: Iterable[RunRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
+    """Records of a file; a torn last line (no newline, no JSON) is dropped."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
+            if line.strip():
+                try:
+                    records.append(RunRecord.from_dict(json.loads(line)))
+                except json.JSONDecodeError:
+                    if line.endswith("\n"):
+                        raise  # a crash mid-write tears the last line only
     return records

@@ -2,24 +2,72 @@
 
 Each oracle derives its answer by a different route than the production
 code: the line-of-sight oracle clips the segment against every cell square
-with exact integer arithmetic, the circle oracle rasterizes by per-row
-nearest-point search, the reachability oracle exhaustively enumerates
-(cell, parent-cell) states with a plain FIFO queue, the successor oracle
-lists an expansion's raw candidates without the planner's arc and
-visibility tables, and the reference search pushes each expansion's
-children in whatever order its caller draws.
+of its bounding box with exact integer arithmetic, once per offset, the
+circle oracle rasterizes by per-row nearest-point search, the reachability
+oracle exhaustively enumerates (cell, parent-cell) states with a plain FIFO
+queue, the successor oracle lists an expansion's raw candidates without the
+planner's arc and visibility tables, and the reference search pushes each
+expansion's children in whatever order its caller draws. The seeded grid
+and endpoint helpers the test modules share live here too, once.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
 from fractions import Fraction
 from math import isqrt
 
-from anglepath import circle_offsets, euclid, line_of_sight, turn_angle
-from anglepath.geometry import ANGLE_EPS_DEG
+import numpy as np
+
+from anglepath import (
+    Grid,
+    SearchStats,
+    Verdict,
+    circle_offsets,
+    delta_levels,
+    euclid,
+    line_of_sight,
+    turn_angle,
+)
+from anglepath.geometry import ANGLE_EPS_DEG, turn_cos_threshold
+
+# ---------------------------------------------------------------------------
+# Seeded inputs and bounds shared by the test modules
+
+
+def empty_grid(n):
+    return Grid(np.zeros((n, n), dtype=bool))
+
+
+def random_grid(rng, n, density):
+    """An n x n grid, each cell blocked with probability density, row by row."""
+    blocked = np.array(
+        [[rng.random() < density for _ in range(n)] for _ in range(n)], dtype=bool
+    )
+    return Grid(blocked)
+
+
+def random_endpoints(rng, grid):
+    """Two distinct free cells (start, goal) drawn by rng, or None."""
+    free = [
+        (c, r)
+        for r in range(grid.height)
+        for c in range(grid.width)
+        if not grid.blocked_at(c, r)
+    ]
+    if len(free) < 2:
+        return None
+    return tuple(rng.sample(free, 2))
+
+
+def expansion_bound(grid, cfg):
+    """A generous cap on expansions: every (cell, circle cell, level) four times."""
+    r_max = max(1, round(cfg.delta_max))
+    return grid.width * grid.height * len(circle_offsets(r_max)) * len(delta_levels(cfg)) * 4
+
 
 # ---------------------------------------------------------------------------
 # Exact rational line-of-sight oracle
@@ -75,31 +123,45 @@ def segment_box_intersection(a, b, cell):
     return "point", (ax + t * dx, ay + t * dy)
 
 
-def los_oracle(grid, a, b) -> bool:
-    """Geometric line-of-sight decided cell by cell over the bounding box."""
-    lo_c, hi_c = sorted((a[0], b[0]))
-    lo_r, hi_r = sorted((a[1], b[1]))
-    touches: dict[tuple, list] = {}
-    for col in range(lo_c, hi_c + 1):
-        for row in range(lo_r, hi_r + 1):
-            kind, point = segment_box_intersection(a, b, (col, row))
-            if kind == "none":
-                continue
+@functools.lru_cache(maxsize=None)
+def segment_cells(dcol, drow):
+    """The segment (0,0)->(dcol,drow) by the exact oracle: (cells, corner pairs).
+
+    The cells are those of its bounding box whose square it crosses with
+    positive length; each corner pair is the two cells it touches at one
+    lattice corner only. An integer translation maps cell squares and
+    lattice corners onto cell squares and lattice corners, so the segment
+    a->b meets the cells of b - a moved by a.
+    """
+    crossed, touches = [], {}
+    for dc in range(min(0, dcol), max(0, dcol) + 1):
+        for dr in range(min(0, drow), max(0, drow) + 1):
+            kind, point = segment_box_intersection((0, 0), (dcol, drow), (dc, dr))
             if kind == "span":
-                if grid.blocked_at(col, row):
-                    return False
-            else:
+                crossed.append((dc, dr))
+            elif kind == "point":
                 # A single-point contact must be at a lattice corner
                 # (odd/odd in doubled coordinates).
                 x, y = point
                 assert x.denominator == 1 and y.denominator == 1
                 assert x.numerator % 2 == 1 and y.numerator % 2 == 1
-                touches.setdefault((x, y), []).append((col, row))
-    for cells in touches.values():
-        assert len(cells) == 2
-        if all(grid.blocked_at(c, r) for c, r in cells):
+                touches.setdefault(point, []).append((dc, dr))
+    assert all(len(cells) == 2 for cells in touches.values())
+    return tuple(crossed), tuple(tuple(cells) for cells in touches.values())
+
+
+def los_oracle(grid, a, b) -> bool:
+    """Geometric line-of-sight: no crossed cell and no corner pair blocked."""
+    crossed, pairs = segment_cells(b[0] - a[0], b[1] - a[1])
+    col, row = a
+    blocked = grid.blocked_at
+    for dc, dr in crossed:
+        if blocked(col + dc, row + dr):
             return False
-    return True
+    return not any(
+        blocked(col + c1, row + r1) and blocked(col + c2, row + r2)
+        for (c1, r1), (c2, r2) in pairs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +195,9 @@ def delta_successors(cell, delta, grid, goal) -> list[tuple[int, int]]:
     """In-bounds cells of the circle of radius round(delta), goal injected last.
 
     The goal is appended when it lies strictly closer than delta. No
-    line-of-sight or angle filtering happens here: the tests filter this
-    list one candidate at a time as the reference for Search.expand.
+    line-of-sight or angle filtering happens here: admitted_successors()
+    filters this list one candidate at a time as the reference for
+    Search.expand.
     """
     col, row = cell
     cells = []
@@ -145,6 +208,35 @@ def delta_successors(cell, delta, grid, goal) -> list[tuple[int, int]]:
     if euclid(cell, goal) < delta and goal not in cells:
         cells.append(goal)
     return cells
+
+
+def turn_ok(hx, hy, dc, dr, threshold) -> bool:
+    """The planner's turn test for move (dc, dr) after heading (hx, hy).
+
+    ``threshold`` is turn_cos_threshold(alpha_max).
+    """
+    if hx * dr == hy * dc and hx * dc + hy * dr > 0:
+        return True  # straight on: a zero turn, whatever the rounding
+    return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
+
+
+def admitted_successors(grid, cell, parent_cell, delta, goal, threshold, closed):
+    """delta_successors() filtered one candidate at a time.
+
+    A candidate is kept when the move onto it passes turn_ok() after the
+    heading from ``parent_cell`` (None: the start, which may turn freely),
+    it is in sight of ``cell``, and ``closed(candidate)`` is false.
+    """
+    col, row = cell
+    children = []
+    for cand in delta_successors(cell, delta, grid, goal):
+        if parent_cell is not None and not turn_ok(
+            col - parent_cell[0], row - parent_cell[1], cand[0] - col, cand[1] - row, threshold
+        ):
+            continue
+        if line_of_sight(grid, cell, cand) and not closed(cand):
+            children.append(cand)
+    return children
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +288,16 @@ def reference_search(grid, start, goal, cfg, shuffle):
     """LIAN/eLIAN by the book: (verdict, path, stats) without the tables.
 
     Identities are (cell, parent cell) tuples, successors are
-    delta_successors() filtered one candidate at a time, and a dead-end
-    node re-enters the open list one ladder level down, to be popped and
-    counted as an expansion again. Open entries sort on (f, -g, cell,
-    parent cell, insertion order) with (-1, -1) as the start's parent, as
-    in the planner. Each expansion's children are pushed in the order
-    ``shuffle`` leaves their list in (it permutes a list in place, e.g.
-    ``random.Random(seed).shuffle``): children of one expansion differ in
-    cell, so no two tie before insertion order, and the order they are
-    pushed in changes no verdict, path or counter. time_cap is ignored.
+    admitted_successors(), and a dead-end node re-enters the open list one
+    ladder level down, to be popped and counted as an expansion again. Open
+    entries sort on (f, -g, cell, parent cell, insertion order) with (-1, -1)
+    as the start's parent, as in the planner. Each expansion's children are
+    pushed in the order ``shuffle`` leaves their list in (it permutes a list
+    in place, e.g. ``random.Random(seed).shuffle``): children of one
+    expansion differ in cell, so no two tie before insertion order, and the
+    order they are pushed in changes no verdict, path or counter. time_cap
+    is ignored.
     """
-    from anglepath import SearchStats, Verdict, delta_levels
-    from anglepath.geometry import turn_cos_threshold
-
     levels = delta_levels(cfg)
     threshold = turn_cos_threshold(cfg.alpha_max)
     stats = SearchStats()
@@ -221,12 +310,6 @@ def reference_search(grid, start, goal, cfg, shuffle):
         parent_cell = node[1][0] if node[1] else (-1, -1)
         heapq.heappush(open_, (node[3], -node[2], node[0], parent_cell, seq, node))
         stats.max_open = max(stats.max_open, len(open_))
-
-    def admissible(heading, dc, dr):
-        hx, hy = heading
-        if hx * dr == hy * dc and hx * dc + hy * dr > 0:
-            return True  # straight on: a zero turn, whatever the rounding
-        return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
 
     def streak(node):
         current = node
@@ -251,14 +334,10 @@ def reference_search(grid, start, goal, cfg, shuffle):
             continue
         closed[ident] = node
         stats.expansions += 1
-        heading = (cell[0] - parent[0][0], cell[1] - parent[0][1]) if parent else None
-        children = []
-        for cand in delta_successors(cell, levels[level], grid, goal):
-            dc, dr = cand[0] - cell[0], cand[1] - cell[1]
-            if heading is not None and not admissible(heading, dc, dr):
-                continue
-            if line_of_sight(grid, cell, cand) and (cand, cell) not in closed:
-                children.append(cand)
+        children = admitted_successors(
+            grid, cell, ident[1], levels[level], goal, threshold,
+            lambda cand: (cand, cell) in closed,
+        )
         shuffle(children)
         if not children:
             if level + 1 < len(levels):

@@ -15,7 +15,6 @@ from anglepath import (
     PlannerConfig,
     Verdict,
     circle_offsets,
-    delta_levels,
     line_of_sight,
     load_scen,
     search,
@@ -23,33 +22,14 @@ from anglepath import (
     validate_path,
 )
 from anglepath.harness import aggregate, run_batch
-from oracles import circle_oracle, los_oracle, reachable
-
-
-def random_grid(rng, n, density):
-    blocked = np.array(
-        [[rng.random() < density for _ in range(n)] for _ in range(n)], dtype=bool
-    )
-    return Grid(blocked)
-
-
-def random_endpoints(rng, grid):
-    free = [
-        (c, r)
-        for r in range(grid.height)
-        for c in range(grid.width)
-        if not grid.blocked_at(c, r)
-    ]
-    if len(free) < 2:
-        return None
-    start, goal = rng.sample(free, 2)
-    return start, goal
-
-
-def expansion_bound(grid, cfg):
-    levels = delta_levels(cfg)
-    r_max = max(1, round(cfg.delta_max))
-    return grid.width * grid.height * len(circle_offsets(r_max)) * len(levels) * 4
+from oracles import (
+    circle_oracle,
+    expansion_bound,
+    los_oracle,
+    random_endpoints,
+    random_grid,
+    reachable,
+)
 
 
 def cfg_of(mode, dmax, dmin, alpha, weight=2.0, cap=2.0):

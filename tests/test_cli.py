@@ -128,6 +128,29 @@ class TestPlan:
         assert "error:" in capsys.readouterr().err
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["plan"], "the following arguments are required: --map, --start, --goal"),
+        (["bench", "--scen", "a.scen", "--jobs", "two"],
+         "argument --jobs: invalid int value: 'two'"),
+        (["bench", "--scen", "a.scen", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ], ids=["missing-flag", "non-int-jobs", "bad-format", "unknown-subcommand"])
+    def test_usage_error_exit_three(self, capsys, argv, message):
+        # argparse would exit 2, which means TIMEOUT.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("usage: anglepath")
+        assert f"error: {message}" in captured.err
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: anglepath")
+
+
 def write_bench_inputs(tmp_path, seeds=(21, 22), size=64, count=3):
     scen_paths = []
     for seed in seeds:
@@ -178,6 +201,22 @@ class TestBench:
         assert {g["algorithm"] for g in payload["groups"]} == {
             "lian-20", "elian-20-10", "elian-20-5",
         }
+
+    def test_default_configs_take_planner_defaults(self, open_map, tmp_path):
+        # Without --configs, the three configs set mode and delta_min only.
+        scen = tmp_path / "open.scen"
+        scen.write_text("version 1\n0\topen.map\t40\t40\t5\t20\t25\t20\t20\n")
+        assert main(["bench", "--scen", str(scen), "--out", str(tmp_path / "d")]) == 0
+        lines = (tmp_path / "d.records.jsonl").read_text().splitlines()
+        defaults = {"k": 0.5, "alpha_max": 25.0, "weight": 2.0, "time_cap": 30.0,
+                    "success_streak": 2}
+        assert [(r["algorithm"], r["config"]) for r in map(json.loads, lines)] == [
+            (name, {"mode": mode, "delta_max": 20.0, "delta_min": delta_min, **defaults})
+            for name, mode, delta_min in (("lian-20", "lian", 20),
+                                          ("elian-20-10", "elian", 10),
+                                          ("elian-20-5", "elian", 5))
+        ]
+        assert '"delta_max": 20.0, "delta_min": 10, "k": 0.5, "alpha_max": 25.0' in lines[1]
 
     def test_missing_map_warns_but_continues(self, tmp_path, capsys):
         scens = write_bench_inputs(tmp_path, seeds=(24,), count=2)

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglepath import (
+    Grid,
     circle_offsets,
     euclid,
     line_of_sight,
@@ -15,11 +17,7 @@ from anglepath import (
 from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
 from anglepath.geometry import arc_window, ray, sight_bits, turn_cos_threshold
 from anglepath.grids import MAX_RUN
-from oracles import circle_oracle, los_oracle, segment_box_intersection
-
-
-def grid_of(text):
-    return parse_ascii_map(text)
+from oracles import circle_oracle, empty_grid, los_oracle, random_grid, segment_cells, turn_ok
 
 
 class TestEuclid:
@@ -126,14 +124,6 @@ class TestCircleOffsets:
                 assert {(dr, dc), (-dc, dr), (dc, -dr), (-dr, -dc)} <= pts
 
 
-def turn_ok(hx, hy, dc, dr, alpha_max):
-    """The planner's turn test, evaluated offset by offset."""
-    threshold = turn_cos_threshold(alpha_max)
-    if hx * dr == hy * dc and hx * dc + hy * dr > 0:
-        return True  # straight on: a zero turn, whatever the rounding
-    return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
-
-
 def mask_offsets(circle, bits):
     """The offsets whose bits are set, in circle order."""
     return [offset for j, offset in enumerate(circle) if bits >> j & 1]
@@ -154,7 +144,7 @@ class TestArcWindow:
             for hx, hy in circle:
                 for alpha in self.BENCH_ALPHAS:
                     window = window_offsets(radius, hx, hy, alpha)
-                    expected = [o for o in circle if turn_ok(hx, hy, *o, alpha)]
+                    expected = [o for o in circle if turn_ok(hx, hy, *o, turn_cos_threshold(alpha))]
                     assert len(window) == len(set(window))
                     assert set(window) == set(expected), (radius, hx, hy, alpha)
 
@@ -185,7 +175,7 @@ class TestArcWindow:
             circle = circle_offsets(radius)
             for hx, hy in headings:
                 window = window_offsets(radius, hx, hy, alpha)
-                expected = [o for o in circle if turn_ok(hx, hy, *o, alpha)]
+                expected = [o for o in circle if turn_ok(hx, hy, *o, turn_cos_threshold(alpha))]
                 assert len(window) == len(set(window))
                 assert set(window) == set(expected), (radius, hx, hy)
 
@@ -199,37 +189,37 @@ class TestArcWindow:
 
 class TestLineOfSight:
     def test_empty_grid_diagonal(self):
-        g = grid_of("\n".join(["....."] * 5))
+        g = parse_ascii_map("\n".join(["....."] * 5))
         assert line_of_sight(g, (0, 0), (4, 4))
 
     def test_blocked_center(self):
-        g = grid_of("...\n.#.\n...")
+        g = parse_ascii_map("...\n.#.\n...")
         assert not line_of_sight(g, (0, 1), (2, 1))
 
     def test_sealed_diagonal_corner(self):
         # Segment passes exactly through the corner shared by two blocked
         # cells; with both pinch cells blocked it must fail.
-        g = grid_of(".#.\n#..\n...")
+        g = parse_ascii_map(".#.\n#..\n...")
         assert not line_of_sight(g, (0, 0), (1, 1))
 
     def test_half_open_corner_passes(self):
-        g = grid_of(".#.\n...\n...")
+        g = parse_ascii_map(".#.\n...\n...")
         assert line_of_sight(g, (0, 0), (1, 1))
-        g2 = grid_of("...\n#..\n...")
+        g2 = parse_ascii_map("...\n#..\n...")
         assert line_of_sight(g2, (0, 0), (1, 1))
 
     def test_blocked_endpoint(self):
-        g = grid_of("#..\n...\n...")
+        g = parse_ascii_map("#..\n...\n...")
         assert not line_of_sight(g, (0, 0), (2, 2))
         assert not line_of_sight(g, (2, 2), (0, 0))
 
     def test_degenerate_same_cell(self):
-        g = grid_of("..\n..")
+        g = parse_ascii_map("..\n..")
         assert line_of_sight(g, (1, 1), (1, 1))
 
     def test_out_of_bounds_endpoint(self):
         # Off-grid cells must not be read from wrapped flat indices.
-        g = grid_of("...\n...\n..#")
+        g = parse_ascii_map("...\n...\n..#")
         for a, b in (((0, -1), (2, 1)), ((0, -1), (0, 1)), ((3, 0), (1, 1)), ((-1, 2), (1, 2))):
             assert not line_of_sight(g, a, b), (a, b)
             assert not line_of_sight(g, b, a), (b, a)
@@ -238,36 +228,22 @@ class TestLineOfSight:
         rng = random.Random(20240)
         for _ in range(25):
             n = rng.randrange(4, 13)
-            rows = [
-                "".join("#" if rng.random() < 0.25 else "." for _ in range(n))
-                for _ in range(n)
-            ]
-            g = grid_of("\n".join(rows))
+            g = random_grid(rng, n, 0.25)
             for _ in range(160):
                 a = (rng.randrange(n), rng.randrange(n))
                 b = (rng.randrange(n), rng.randrange(n))
-                assert line_of_sight(g, a, b) == los_oracle(g, a, b), (rows, a, b)
+                assert line_of_sight(g, a, b) == los_oracle(g, a, b), (g.blocked.tolist(), a, b)
 
     @given(st.data())
     def test_symmetry(self, data):
         n = data.draw(st.integers(3, 32))
         density = data.draw(st.floats(0.0, 0.5))
-        seed = data.draw(st.integers(0, 10**6))
-        rng = random.Random(seed)
-        rows = [
-            "".join("#" if rng.random() < density else "." for _ in range(n))
-            for _ in range(n)
-        ]
-        g = grid_of("\n".join(rows))
+        g = random_grid(random.Random(data.draw(st.integers(0, 10**6))), n, density)
         a = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
         b = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
         assert line_of_sight(g, a, b) == line_of_sight(g, b, a)
 
     def test_blocking_any_traversed_cell_breaks_sight(self):
-        import numpy as np
-
-        from anglepath import Grid
-
         rng = random.Random(7)
         for _ in range(40):
             n = 12
@@ -275,9 +251,8 @@ class TestLineOfSight:
             b = (rng.randrange(n), rng.randrange(n))
             if a == b:
                 continue
-            free = Grid(np.zeros((n, n), dtype=bool))
-            assert line_of_sight(free, a, b)
-            crossed, _ = oracle_segment(b[0] - a[0], b[1] - a[1])
+            assert line_of_sight(empty_grid(n), a, b)
+            crossed, _ = segment_cells(b[0] - a[0], b[1] - a[1])
             assert (0, 0) in crossed and (b[0] - a[0], b[1] - a[1]) in crossed
             for dc, dr in crossed:
                 blocked = np.zeros((n, n), dtype=bool)
@@ -285,29 +260,11 @@ class TestLineOfSight:
                 assert not line_of_sight(Grid(blocked), a, b)
 
 
-def oracle_segment(dcol, drow):
-    """The segment (0,0)->(dcol,drow) by the exact oracle: (cells, corner pairs).
-
-    The cells are those of its bounding box whose square it crosses with
-    positive length; each corner pair is the two cells it touches at one
-    lattice corner only.
-    """
-    crossed, touches = [], {}
-    for dc in range(min(0, dcol), max(0, dcol) + 1):
-        for dr in range(min(0, drow), max(0, drow) + 1):
-            kind, point = segment_box_intersection((0, 0), (dcol, drow), (dc, dr))
-            if kind == "span":
-                crossed.append((dc, dr))
-            elif kind == "point":
-                touches.setdefault(point, []).append((dc, dr))
-    return crossed, list(touches.values())
-
-
 class TestRay:
     WIDTHS = (1, 3, 7, 26, 600)
 
     def check(self, dcol, drow, widths):
-        crossed, touches = oracle_segment(dcol, drow)
+        crossed, touches = segment_cells(dcol, drow)
         # A flat offset names one cell of the bounding box when the grid is
         # at least as wide as the box; no narrower grid holds the segment.
         left = min(0, dcol)
@@ -355,10 +312,6 @@ class TestRay:
 
 def pinched_grid(rng, height, width, density, pinches):
     """Random blockage plus diagonal pairs that seal a lattice corner."""
-    import numpy as np
-
-    from anglepath import Grid
-
     blocked = np.array(
         [[rng.random() < density for _ in range(width)] for _ in range(height)]
     )
@@ -451,7 +404,7 @@ class TestVisibleTargets:
             s.expand(SearchNode((0, 0), back, 0.0, 0.0, 0))
             return sorted(divmod(key // s._key_base, grid.height) for _, _, key, *_ in s.open)
 
-        g = grid_of("...\n.#.\n...")
+        g = parse_ascii_map("...\n.#.\n...")
         # 12 offsets at radius 2; from (0, 0) only (2, 0), (2, 1), (1, 2)
         # and (0, 2), bits 0-3, land, and the blocked centre hides two.
         # Heading east asks bits 0, 1 and 11.
@@ -466,17 +419,13 @@ class TestVisibleTargets:
         assert list(g.circle_tables) == [2]
         radius, steps, count, full, memo, rays = g.circle_tables[2]
         assert memo == {0: 0xFFF << 12 | 0b1001}
-        fresh = grid_of("...\n.#.\n...")
+        fresh = parse_ascii_map("...\n.#.\n...")
         assert fresh.circle_tables == {}
         assert children(fresh, (-1, 0)) == [(2, 0)]
         assert walked[4:] == [0, 1]  # a new grid keeps its own answers
 
     @pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
     def test_straight_rays_longer_than_a_table_entry(self, shape):
-        import numpy as np
-
-        from anglepath import Grid
-
         along = max(shape)
         for block in (254, 255, 256, 300, 509, 510, 511, 599):
             blocked = np.zeros(shape, dtype=bool)
@@ -493,10 +442,6 @@ class TestVisibleTargets:
             assert visible_offsets(open_grid, along - 1, (0, 0)) == [end]
 
     def test_shallow_ray_longer_than_a_table_entry(self):
-        import numpy as np
-
-        from anglepath import Grid
-
         # (0,0) -> (599,1) crosses row 0 for 300 cells, then row 1.
         for block in ((260, 0), (299, 0), (300, 0), (300, 1), (560, 1), (270, 2)):
             blocked = np.zeros((3, 600), dtype=bool)

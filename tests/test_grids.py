@@ -122,14 +122,14 @@ class TestParseScen:
 
     def test_empty_body(self):
         s = parse_scen("version 1\n")
-        assert len(s) == 0
+        assert s.instances == ()
 
     def test_row_count_matches_line_count(self):
         blocked = mapgen.building_blocked(4, size=64)
         insts = mapgen.hard_instances(blocked, "m.map", 9, seed=5, min_dist_frac=0.5)
         text = mapgen.to_movingai_scen(insts, 64, 64)
         expected = len([ln for ln in text.splitlines()[1:] if ln.strip()])
-        assert len(parse_scen(text)) == expected == 9
+        assert len(parse_scen(text).instances) == expected == 9
 
     @pytest.mark.parametrize(
         "text,fragment",

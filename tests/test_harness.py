@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import random
 
 import numpy as np
@@ -21,15 +20,12 @@ from anglepath.harness import (
     run_instance,
     write_records,
 )
+from oracles import empty_grid, random_endpoints, random_grid
 
 ELIAN84 = PlannerConfig(
     mode="elian", delta_max=8, delta_min=4, k=0.5, alpha_max=25, weight=2, time_cap=20
 )
 LIAN8 = PlannerConfig(mode="lian", delta_max=8, alpha_max=25, weight=2, time_cap=20)
-
-
-def empty_grid(n):
-    return Grid(np.zeros((n, n), dtype=bool))
 
 
 class TestRunInstance:
@@ -263,23 +259,31 @@ class TestRunBatch:
         loaded = read_records(out)
         assert self.essence(loaded) == self.essence(result.records)
 
+    def test_torn_last_line_dropped_only(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        result = run_batch(self.scens, self.configs, grids=self.grids)
+        write_records(result.records, out)
+        lines = out.read_text().splitlines(keepends=True)
+        # A batch killed mid-write leaves a last line with no newline.
+        out.write_text("".join(lines[:-1]) + lines[-1][:40])
+        assert self.essence(read_records(out)) == self.essence(result.records[:-1])
+        # A whole last line is kept, with or without its newline.
+        out.write_text("".join(lines)[:-1])
+        assert self.essence(read_records(out)) == self.essence(result.records)
+        # A bad line anywhere else still raises.
+        for torn in (lines[1][:40] + "\n", lines[1][:40] + "\n" + lines[1]):
+            out.write_text(lines[0] + torn)
+            with pytest.raises(json.JSONDecodeError):
+                read_records(out)
+
     def test_every_found_record_metrics_recompute(self):
         rng = random.Random(77)
         grids = {}
         scens = []
         for idx in range(3):
-            blocked = np.array(
-                [[rng.random() < 0.15 for _ in range(40)] for _ in range(40)],
-                dtype=bool,
-            )
             name = f"g{idx}.map"
-            grid = Grid(blocked)
-            grids[name] = grid
-            free = [
-                (c, r) for r in range(40) for c in range(40) if not blocked[r, c]
-            ]
-            pairs = [tuple(rng.sample(free, 2)) for _ in range(4)]
-            scens.append(tiny_scen(name, pairs))
+            grids[name] = grid = random_grid(rng, 40, 0.15)
+            scens.append(tiny_scen(name, [random_endpoints(rng, grid) for _ in range(4)]))
         result = run_batch(scens, [LIAN8, ELIAN84], grids=grids)
         found = [r for r in result.records if r.verdict is Verdict.FOUND]
         assert found

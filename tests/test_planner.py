@@ -25,33 +25,18 @@ from anglepath import (
 )
 from anglepath.geometry import circle_offsets, turn_cos_threshold
 from anglepath.planner import MAX_LEVELS
-from oracles import delta_successors, reachable, reference_search
+from oracles import (
+    admitted_successors,
+    delta_successors,
+    empty_grid,
+    expansion_bound,
+    random_endpoints,
+    random_grid,
+    reachable,
+    reference_search,
+)
 
 LIAN20 = PlannerConfig(mode="lian", delta_max=20, alpha_max=25, weight=2, time_cap=10)
-
-
-def empty_grid(n):
-    return Grid(np.zeros((n, n), dtype=bool))
-
-
-def random_grid(rng, n, density):
-    blocked = np.array(
-        [[rng.random() < density for _ in range(n)] for _ in range(n)], dtype=bool
-    )
-    return Grid(blocked)
-
-
-def random_instance(rng, grid):
-    free = [
-        (c, r)
-        for r in range(grid.height)
-        for c in range(grid.width)
-        if not grid.blocked_at(c, r)
-    ]
-    if len(free) < 2:
-        return None
-    start, goal = rng.sample(free, 2)
-    return start, goal
 
 
 class TestConfig:
@@ -246,10 +231,6 @@ def elian_cfg(dmax=20, dmin=5):
     )
 
 
-def make_search(grid, start, goal, cfg):
-    return Search(grid, start, goal, cfg)
-
-
 def ident_key(search, cell, parent_cell=None):
     """The packed key of a (cell, parent cell) identity, as in Search."""
     height = search.grid.height
@@ -283,7 +264,7 @@ class TestExpand:
         for c, r in WALLED_IN:
             blocked[r, c] = True
         grid = Grid(blocked)
-        s = make_search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=10))
+        s = Search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=10))
         node = SearchNode((4, 4), None, 0.0, 0.0, 0)
         s.closed.add(ident_key(s, (4, 4)))
         s.expand(node)
@@ -296,7 +277,7 @@ class TestExpand:
         # the goal; the children come from the radius-10 circle, at level 1.
         blocked = np.zeros((21, 21), dtype=bool)
         blocked[19, 19] = True
-        s = make_search(Grid(blocked), (10, 10), (20, 20), elian_cfg())
+        s = Search(Grid(blocked), (10, 10), (20, 20), elian_cfg())
         node = SearchNode((10, 10), None, 0.0, 0.0, 0)
         s.expand(node)
         assert (s.stats.reinsertions, s.stats.expansions) == (1, 1)
@@ -312,7 +293,7 @@ class TestExpand:
         for c, r in WALLED_IN:
             blocked[r, c] = True
         grid = Grid(blocked)
-        s = make_search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=5))
+        s = Search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=5))
         node = SearchNode((4, 4), None, 0.0, 0.0, 2)  # already at delta_min
         s.closed.add(ident_key(s, (4, 4)))
         s.expand(node)
@@ -322,7 +303,7 @@ class TestExpand:
 
     def test_streak_raises_successor_delta(self):
         grid = empty_grid(41)
-        s = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        s = Search(grid, (0, 20), (40, 20), elian_cfg())
         grandparent = SearchNode((0, 20), None, 0.0, 0.0, 1)
         parent = SearchNode((10, 20), grandparent, 10.0, 0.0, 1)
         node = SearchNode((20, 20), parent, 20.0, 0.0, 1)
@@ -334,7 +315,7 @@ class TestExpand:
 
     def test_no_streak_keeps_delta(self):
         grid = empty_grid(41)
-        s = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        s = Search(grid, (0, 20), (40, 20), elian_cfg())
         parent = SearchNode((10, 20), None, 0.0, 0.0, 0)
         node = SearchNode((20, 20), parent, 10.0, 0.0, 1)
         s.expand(node)
@@ -349,13 +330,13 @@ class TestExpand:
             weight=2, time_cap=10, success_streak=3,
         )
         grid = empty_grid(61)
-        s = make_search(grid, (0, 30), (60, 30), cfg)
+        s = Search(grid, (0, 30), (60, 30), cfg)
         a = SearchNode((0, 30), None, 0.0, 0.0, 1)
         b = SearchNode((10, 30), a, 10.0, 0.0, 1)
         c = SearchNode((20, 30), b, 20.0, 0.0, 1)
         s.expand(c)  # chain of three at the same delta: raise
         assert all(level == 0 for _, _, level, _, _ in open_entries(s))
-        s2 = make_search(grid, (0, 30), (60, 30), cfg)
+        s2 = Search(grid, (0, 30), (60, 30), cfg)
         c2 = SearchNode((20, 30), b, 20.0, 0.0, 1)
         b.parent = SearchNode((0, 30), None, 0.0, 0.0, 0)
         s2.expand(c2)  # chain broken at depth two: keep
@@ -363,38 +344,17 @@ class TestExpand:
 
     def test_closed_identities_pruned(self):
         grid = empty_grid(41)
-        s = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        s = Search(grid, (0, 20), (40, 20), elian_cfg())
         node = SearchNode((20, 20), None, 0.0, 0.0, 0)
         s.expand(node)
         first = {cell for cell, _, _, _, _ in open_entries(s)}
         assert (40, 20) in first
-        s2 = make_search(grid, (0, 20), (40, 20), elian_cfg())
+        s2 = Search(grid, (0, 20), (40, 20), elian_cfg())
         s2.closed.add(ident_key(s2, (40, 20), (20, 20)))
         node2 = SearchNode((20, 20), None, 0.0, 0.0, 0)
         s2.expand(node2)
         second = {cell for cell, _, _, _, _ in open_entries(s2)}
         assert second == first - {(40, 20)}
-
-
-def full_scan_children(search, node):
-    """Reference for Search.expand: delta_successors filtered one by one."""
-    grid = search.grid
-    threshold = turn_cos_threshold(search.cfg.alpha_max)
-    col, row = node.cell
-    children = []
-    for cand in delta_successors(node.cell, search.levels[node.level], grid, search.goal):
-        if node.parent is not None:
-            hx, hy = col - node.parent.cell[0], row - node.parent.cell[1]
-            dc, dr = cand[0] - col, cand[1] - row
-            # A move straight on is a zero turn, whatever the rounding.
-            straight_on = hx * dr == hy * dc and hx * dc + hy * dr > 0
-            if (hx * dc + hy * dr < threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
-                    and not straight_on):
-                continue
-        if (line_of_sight(grid, node.cell, cand)
-                and ident_key(search, cand, node.cell) not in search.closed):
-            children.append(cand)
-    return children
 
 
 class TestExpandMatchesFullScan:
@@ -426,7 +386,7 @@ class TestExpandMatchesFullScan:
         near = [f for f in free if f != cell and math.dist(f, cell) <= delta + 1]
         goal = rng.choice(near if near and rng.random() < 0.5 else [f for f in free if f != cell])
         cfg = PlannerConfig(mode="lian", delta_max=delta, alpha_max=alpha, time_cap=10)
-        s = make_search(grid, cell, goal, cfg)
+        s = Search(grid, cell, goal, cfg)
         parent = None
         if heading is not None:
             parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0)
@@ -434,7 +394,10 @@ class TestExpandMatchesFullScan:
         for cand in delta_successors(cell, delta, grid, goal):
             if rng.random() < 0.3:
                 s.closed.add(ident_key(s, cand, cell))
-        expected = full_scan_children(s, node)
+        expected = admitted_successors(
+            grid, cell, None if parent is None else parent.cell, delta, goal,
+            turn_cos_threshold(alpha), lambda cand: ident_key(s, cand, cell) in s.closed,
+        )
         s.expand(node)
         entries = open_entries(s)
         children = [child for child, _, _, _, _ in entries]
@@ -540,7 +503,7 @@ class TestSearch:
         rng = random.Random(5150)
         for _ in range(40):
             grid = random_grid(rng, rng.randrange(12, 33), rng.choice([0.0, 0.1, 0.25]))
-            inst = random_instance(rng, grid)
+            inst = random_endpoints(rng, grid)
             if inst is None:
                 continue
             start, goal = inst
@@ -626,7 +589,7 @@ class TestSearch:
     def test_deterministic_repeat(self):
         rng = random.Random(8)
         grid = random_grid(rng, 40, 0.2)
-        inst = random_instance(rng, grid)
+        inst = random_endpoints(rng, grid)
         assert inst is not None
         cfg = PlannerConfig(mode="elian", delta_max=12, delta_min=3, k=0.5,
                             alpha_max=30, weight=2, time_cap=10)
@@ -644,7 +607,7 @@ class TestRunLoop:
         blocked = np.zeros((9, 9), dtype=bool)
         for c, r in WALLED_IN:
             blocked[r, c] = True
-        s = make_search(Grid(blocked), (4, 4), (8, 8), elian_cfg())
+        s = Search(Grid(blocked), (4, 4), (8, 8), elian_cfg())
         expanded = []
         expand = s.expand
 
@@ -664,7 +627,7 @@ class TestRunLoop:
         # Two expansions of cell (10, 15) from different parents both push a
         # lazy entry for ((15, 15), (10, 15)); only the first may expand.
         grid = empty_grid(30)
-        s = make_search(grid, (2, 15), (27, 15), PlannerConfig(
+        s = Search(grid, (2, 15), (27, 15), PlannerConfig(
             mode="lian", delta_max=5, alpha_max=25, weight=2, time_cap=10))
         a = SearchNode((10, 15), SearchNode((5, 15), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
         b = SearchNode((10, 15), SearchNode((5, 16), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
@@ -686,7 +649,7 @@ class TestRunLoop:
 
     def test_goal_reached_through_lazy_entry(self):
         grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
-        s = make_search(grid, start, goal, elian_cfg(dmax=8, dmin=4))
+        s = Search(grid, start, goal, elian_cfg(dmax=8, dmin=4))
         expanded = []
         expand = s.expand
 
@@ -915,21 +878,13 @@ class TestValidatePath:
         assert validate_path(grid, [(0, 0), (10, 0), (20, 10)], 45) is None
 
 
-def expansion_bound(grid, cfg):
-    from anglepath import circle_offsets
-
-    levels = delta_levels(cfg)
-    r_max = max(1, round(cfg.delta_max))
-    return grid.width * grid.height * len(circle_offsets(r_max)) * len(levels) * 4
-
-
 class TestSearchProperties:
     @settings(max_examples=30)
     @given(st.integers(0, 10**6))
     def test_found_paths_validate_and_respect_levels(self, seed):
         rng = random.Random(seed)
         grid = random_grid(rng, rng.randrange(16, 49), rng.uniform(0.0, 0.4))
-        inst = random_instance(rng, grid)
+        inst = random_endpoints(rng, grid)
         if inst is None:
             return
         mode, dmin = rng.choice([("lian", 12), ("elian", 6), ("elian", 3)])
@@ -953,7 +908,7 @@ class TestSearchProperties:
         for _ in range(60):
             n = rng.randrange(8, 21)
             grid = random_grid(rng, n, rng.choice([0.05, 0.15, 0.3]))
-            inst = random_instance(rng, grid)
+            inst = random_endpoints(rng, grid)
             if inst is None:
                 continue
             delta = rng.choice([2, 3, 4])
@@ -972,7 +927,7 @@ class TestSearchProperties:
         solved = {"lian-8": set(), "elian-8-4": set(), "elian-8-2": set()}
         for trial in range(40):
             grid = random_grid(rng, rng.randrange(16, 33), rng.uniform(0.05, 0.3))
-            inst = random_instance(rng, grid)
+            inst = random_endpoints(rng, grid)
             if inst is None:
                 continue
             for name, dmin in (("lian-8", 8), ("elian-8-4", 4), ("elian-8-2", 2)):
