@@ -107,6 +107,10 @@ def _load_configs(path: str | None) -> list[PlannerConfig]:
         raw = json.loads(Path(path).read_bytes().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # bad JSON, or an integer of over 4,300 digits
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise InputError("config file must hold a nonempty JSON list")
     return [PlannerConfig.from_dict(item) for item in raw]
@@ -172,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "plan":
             return _cmd_plan(args)
         return _cmd_bench(args)
-    except (InputError, ParseError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

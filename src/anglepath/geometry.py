@@ -56,18 +56,12 @@ def turn_angle(prev: Cell, mid: Cell, nxt: Cell) -> float:
     return math.degrees(math.acos(cos))
 
 
-def _clockwise_from_east(offset: Offset) -> float:
-    # Rows grow downward, so increasing atan2 sweeps clockwise on screen.
-    angle = math.atan2(offset[1], offset[0])
-    return angle if angle >= 0.0 else angle + 2.0 * math.pi
-
-
 @lru_cache(maxsize=None)
 def circle_offsets(radius: int) -> tuple[Offset, ...]:
     """Offsets of the discrete circle of the given radius.
 
     Midpoint rasterization mirrored through all eight octants, deduplicated,
-    ordered clockwise starting from (radius, 0).
+    in sorted (dcol, drow) order.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -85,7 +79,7 @@ def circle_offsets(radius: int) -> tuple[Offset, ...]:
         else:
             x -= 1
             d += 2 * (y - x) + 1
-    return tuple(sorted(points, key=_clockwise_from_east))
+    return tuple(sorted(points))
 
 
 def turn_cos_threshold(alpha_max: float) -> float:
@@ -198,13 +192,6 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
     return sight_bits(grid, a, ((dc, dr, ray(width, dc, dr)),), 1) == 1
 
 
-@lru_cache(maxsize=1 << 14)
-def _set_bits(bits: int) -> tuple[int, ...]:
-    # Indices of the set bits, low to high. Few values recur: a cell's first
-    # expansion asks for a whole arc, later ones for what another arc left.
-    return tuple(j for j in range(bits.bit_length()) if bits >> j & 1)
-
-
 def sight_bits(
     grid: Grid, cell: Cell, rays: tuple[tuple[int, int, Ray | None], ...], bits: int
 ) -> int:
@@ -220,8 +207,10 @@ def sight_bits(
     base = row * width + col
     free_right, free_down = grid.free_right, grid.free_down
     seen = 0
-    for j in _set_bits(bits):
-        dc, dr, ray_j = rays[j]
+    while bits:  # the set bits, low to high
+        low = bits & -bits
+        bits ^= low
+        dc, dr, ray_j = rays[low.bit_length() - 1]
         if 0 <= col + dc < width and 0 <= row + dr < height:
             along_rows, runs, pairs = ray_j
             free = free_right if along_rows else free_down
@@ -234,5 +223,5 @@ def sight_bits(
                     if not (free_right[base + off1] or free_right[base + off2]):
                         break
                 else:
-                    seen |= 1 << j
+                    seen |= low
     return seen

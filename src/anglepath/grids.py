@@ -7,6 +7,7 @@ work unmodified. The agent occupies cell centers.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,14 +165,18 @@ def parse_map(data: str | bytes) -> Grid:
             if len(fields) != 2:
                 raise ParseError(f"line {idx + 1}: malformed type header: {raw!r}")
         elif key in ("height", "width"):
-            # isdigit() alone admits characters int() refuses, such as '²'.
-            if (len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit())
-                    or int(fields[1]) <= 0):
+            # isdigit() alone admits characters int() refuses, such as '²',
+            # and int() refuses more than 4,300 digits.
+            size = 0
+            if len(fields) == 2 and fields[1].isascii() and fields[1].isdigit():
+                with contextlib.suppress(ValueError):
+                    size = int(fields[1])
+            if size <= 0:
                 raise ParseError(f"line {idx + 1}: malformed {key} header: {raw!r}")
             if key == "height":
-                height = int(fields[1])
+                height = size
             else:
-                width = int(fields[1])
+                width = size
         else:
             raise ParseError(f"line {idx + 1}: unexpected header line: {raw!r}")
     if body_start is None:

@@ -101,9 +101,20 @@ class BatchResult:
     errors: list[str]
 
 
-def _run_set(
-    grid: Grid, scen: ScenarioSet, cfg: PlannerConfig
-) -> tuple[list[RunRecord], list[str]]:
+# The grids of the batch being run, by map_id, so that a task names its map
+# instead of carrying a pickled Grid: the pool's initializer fills it in each
+# worker process, and run_batch fills it here when it runs the tasks itself.
+_grids: Mapping[str, Grid] = {}
+
+
+def _use_grids(grids: Mapping[str, Grid]) -> None:
+    global _grids
+    _grids = grids
+
+
+def _run_task(task: tuple[ScenarioSet, PlannerConfig]) -> tuple[list[RunRecord], list[str]]:
+    scen, cfg = task
+    grid = _grids[scen.map_id]
     records: list[RunRecord] = []
     errors: list[str] = []
     for instance in scen.instances:
@@ -112,22 +123,6 @@ def _run_set(
         except InputError as exc:
             errors.append(f"{scen.map_id}: skipped instance {instance.instance_id}: {exc}")
     return records, errors
-
-
-# The grids of the batch a worker process serves, set once by its initializer
-# so that tasks name their map instead of carrying a pickled Grid each.
-_worker_grids: Mapping[str, Grid] = {}
-
-
-def _init_worker(grids: Mapping[str, Grid]) -> None:
-    global _worker_grids
-    _worker_grids = grids
-
-
-def _run_worker_set(
-    scen: ScenarioSet, cfg: PlannerConfig
-) -> tuple[list[RunRecord], list[str]]:
-    return _run_set(_worker_grids[scen.map_id], scen, cfg)
 
 
 def run_batch(
@@ -144,12 +139,16 @@ def run_batch(
     map_id itself, then its basename), once per batch; a map that fails
     gives one error and its sets are skipped. Records come back in
     deterministic (scenario, config, instance) order regardless of the
-    parallelism degree. Up to ``jobs`` worker processes run the tasks, never
-    more than there are tasks; each receives the grids once, through the
-    pool's initializer, and fills its own circle tables. ``jobs < 1`` raises
-    InputError, and so do two configs that would share a summary row (the
-    same name at the same alpha_max) and an instance_id that appears twice,
-    which aggregate() would count twice as run but once as solved.
+    parallelism degree. A task is one (scenario set, config) pair, and one
+    function runs it against its process's table of the batch's grids: this
+    process's own at one worker, else up to ``jobs`` worker processes, never
+    more than there are tasks, each of which receives the grids once, through
+    the pool's initializer, and fills its own circle tables. This process's
+    table holds one batch at a time and is emptied when it returns.
+    ``jobs < 1`` raises InputError, and so do two configs that would share a
+    summary row (the same name at the same alpha_max) and an instance_id
+    that appears twice, which aggregate() would count twice as run but once
+    as solved.
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
@@ -189,28 +188,26 @@ def run_batch(
             runnable.append(scen)
 
     tasks = [(scen, cfg) for scen in runnable for cfg in configs]
-    records: list[RunRecord] = []
-
-    def collect(task_records: list[RunRecord], task_errors: list[str]) -> None:
-        records.extend(task_records)
-        errors.extend(task_errors)
-        if record_sink is not None:
-            for record in task_records:
-                record_sink(record)
-
     workers = min(jobs, len(tasks))
-    if workers <= 1:
-        for scen, cfg in tasks:
-            collect(*_run_set(resolved[scen.map_id], scen, cfg))
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers, initializer=_use_grids, initargs=(resolved,))
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(resolved,)
-        ) as pool:
-            futures = [pool.submit(_run_worker_set, scen, cfg) for scen, cfg in tasks]
-            # Consume in submission order: deterministic output, streamed
-            # to the sink as each task finishes.
-            for future in futures:
-                collect(*future.result())
+        _use_grids(resolved)
+    records: list[RunRecord] = []
+    try:
+        # In task order: deterministic output, streamed to the sink as each
+        # task finishes.
+        for task_records, task_errors in (pool.map if pool else map)(_run_task, tasks):
+            records.extend(task_records)
+            errors.extend(task_errors)
+            if record_sink is not None:
+                for record in task_records:
+                    record_sink(record)
+    finally:
+        _use_grids({})
+        if pool is not None:
+            pool.shutdown()
     return BatchResult(records=records, errors=errors)
 
 

@@ -340,6 +340,25 @@ class TestBench:
         assert code == 3
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,fragment", [
+        ("[" * 200000 + "]" * 200000, "nested too deeply"),  # RecursionError
+        ('[{"mode": "lian", "delta_max": ' + "9" * 5000 + "}]", "digits"),  # int() refuses it
+        ('[{"mode": "lian",}]', "Expecting"),
+    ])
+    def test_unparsable_configs_exit_three(self, tmp_path, capsys, text, fragment):
+        # json.loads raises RecursionError and plain ValueError as well as
+        # JSONDecodeError; each is a bad config file, not a crash.
+        scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main([
+            "bench", "--scen", str(scens[0]), "--maps-dir", str(tmp_path),
+            "--configs", str(bad), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and fragment in err
+
     def test_bad_configs_exit_three(self, tmp_path):
         scens = write_bench_inputs(tmp_path, seeds=(25,), count=2)
         bad = tmp_path / "bad.json"

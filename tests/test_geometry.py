@@ -101,12 +101,12 @@ class TestCircleOffsets:
         for radius in range(0, 65):
             assert set(circle_offsets(radius)) == circle_oracle(radius), radius
 
-    def test_ordering_clockwise_from_east(self):
+    def test_ordering_sorted(self):
+        # Bit j of every circle mask is offset j, so the order is pinned.
+        assert circle_offsets(1) == ((-1, 0), (0, -1), (0, 1), (1, 0))
         for radius in (1, 2, 5, 17):
             offsets = circle_offsets(radius)
-            assert offsets[0] == (radius, 0)
-            angles = [math.atan2(dr, dc) % (2 * math.pi) for dc, dr in offsets]
-            assert angles == sorted(angles)
+            assert list(offsets) == sorted(set(offsets))
 
     def test_radial_error_below_one(self):
         for radius in range(1, 65):
@@ -405,24 +405,24 @@ class TestVisibleTargets:
             return sorted(divmod(key // s._key_base, grid.height) for _, _, key, *_ in s.open)
 
         g = parse_ascii_map("...\n.#.\n...")
-        # 12 offsets at radius 2; from (0, 0) only (2, 0), (2, 1), (1, 2)
-        # and (0, 2), bits 0-3, land, and the blocked centre hides two.
-        # Heading east asks bits 0, 1 and 11.
+        # 12 offsets at radius 2; from (0, 0) only (0, 2), (1, 2), (2, 0)
+        # and (2, 1), bits 6, 8, 10 and 11, land, and the blocked centre
+        # hides (1, 2) and (2, 1). Heading east asks bits 9-11.
         assert children(g, (-1, 0)) == [(2, 0)]
-        assert walked == [0, 1]  # (2, -1), bit 11, is off the grid
+        assert walked == [10, 11]  # (2, -1), bit 9, is off the grid
         assert children(g, None) == [(0, 2), (2, 0)]
-        assert walked == [0, 1, 2, 3]
-        assert children(g, (0, -1)) == [(0, 2)]  # heading south: bits 2-4
+        assert walked == [10, 11, 6, 8]
+        assert children(g, (0, -1)) == [(0, 2)]  # heading south: bits 4, 6 and 8
         assert len(walked) == 4  # every offset was asked before
         # One ring per radius, and in its memo one entry per asked cell:
         # asked bits above the seen ones.
         assert list(g.circle_tables) == [2]
         radius, steps, count, full, memo, rays = g.circle_tables[2]
-        assert memo == {0: 0xFFF << 12 | 0b1001}
+        assert memo == {0: 0xFFF << 12 | 1 << 10 | 1 << 6}
         fresh = parse_ascii_map("...\n.#.\n...")
         assert fresh.circle_tables == {}
         assert children(fresh, (-1, 0)) == [(2, 0)]
-        assert walked[4:] == [0, 1]  # a new grid keeps its own answers
+        assert walked[4:] == [10, 11]  # a new grid keeps its own answers
 
     @pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
     def test_straight_rays_longer_than_a_table_entry(self, shape):

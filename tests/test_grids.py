@@ -64,6 +64,8 @@ class TestParseMap:
             ("type octile\nheight x\nwidth 2\nmap\n..\n", "malformed height"),
             ("type octile\nheight \u00b2\nwidth 2\nmap\n..\n", "malformed height"),
             ("type octile\nheight 1\nwidth 10000000000000000\nmap\n..\n", "row length 2"),
+            # More digits than int() converts.
+            ("type octile\nheight " + "9" * 5000 + "\nwidth 2\nmap\n..\n", "malformed height"),
             ("bogus 1\nheight 1\nwidth 2\nmap\n..\n", "unexpected header"),
             ("type octile\nheight 1\nwidth 2\n..\n", "unexpected header"),
         ],

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,49 @@ class TestRunBatch:
                                len(multiprocessing.active_children())))
         assert len(result.records) == 4
         assert 1 <= max(live) <= 2
+
+    def test_no_grid_held_after_the_batch(self):
+        # Run in this process, tasks read the batch's grids from a module
+        # table, which must not keep them alive once run_batch returns or
+        # raises.
+        from anglepath import harness
+
+        run_batch(self.scens, self.configs, grids=self.grids, jobs=1)
+        assert harness._grids == {}
+
+        def failing_sink(record):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_batch(self.scens, self.configs, grids=self.grids, record_sink=failing_sink)
+        assert harness._grids == {}
+
+    def test_perfbench_tracer_sees_every_search(self, tmp_path):
+        # perfbench/spans.py wraps module attributes of anglepath from
+        # outside. A renamed one fails install(); one a caller has captured
+        # (in a local or a partial) runs unwrapped and leaves searches with
+        # no summary, or summaries with no search behind them.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        (tmp_path / "a.map").write_text(
+            "type octile\nheight 40\nwidth 40\nmap\n" + "\n".join(["." * 40] * 40) + "\n"
+        )
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            result = run_batch(self.scens, self.configs, maps_dir=tmp_path, jobs=1)
+            summaries = tracer.summaries
+            assert len(result.records) == 6
+            assert [s["expansions"] for s in summaries] == [r.expansions for r in result.records]
+            assert [s["runtime_s"] for s in summaries] == [r.runtime_s for r in result.records]
+            assert all(s["expand_s"] > 0 for s in summaries)
+            names = {span[0] for span in tracer.spans}
+            assert {"grids.load_map", "harness.run_instance", "planner.search",
+                    "planner.Search.run"} <= names
+        finally:
+            tracer.uninstall()
 
     def test_each_map_loaded_once_per_batch(self, tmp_path, monkeypatch):
         from anglepath import harness

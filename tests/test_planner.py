@@ -200,7 +200,7 @@ class TestDeltaSuccessors:
     def test_unit_circle(self):
         grid = empty_grid(21)
         cells = delta_successors((10, 10), 1.0, grid, (20, 20))
-        assert cells == [(11, 10), (10, 11), (9, 10), (10, 9)]
+        assert cells == [(9, 10), (10, 9), (10, 11), (11, 10)]  # circle order
 
     def test_goal_injected_when_close(self):
         grid = empty_grid(21)
