@@ -37,6 +37,9 @@ ELIAN = "elian"
 # The longest delta ladder a config may ask for. A dead end descends all of
 # its levels in one expansion, between two time_cap checks.
 MAX_LEVELS = 64
+# Search.expand's tie guard, as a share of a bound on a child's f: far above
+# the two ulps by which rounding can tie a larger g's f with a smaller one's.
+_TIE_SLACK = 2.0 ** -40
 
 
 class Verdict(str, Enum):
@@ -174,13 +177,21 @@ class SearchStats:
 
     ``expansions`` counts a node once per ladder level it is expanded at.
     ``reinsertions`` counts ladder descents, dead ends retried one level
-    down; the name stays because records.jsonl carries it.
+    down; the name stays because records.jsonl carries it. ``generated``
+    counts successors that passed the turn, sight and closed tests, and
+    ``dominated`` those of them that were not queued because an earlier
+    expansion of the same cell had queued them at a g that sorts no later
+    (see Search.expand); ``generated - dominated`` entries were pushed.
+    ``stale_pops`` counts popped entries whose identity was already
+    expanded. Records carry neither of the last two.
     """
 
     expansions: int = 0
     generated: int = 0
     reinsertions: int = 0
     max_open: int = 0
+    dominated: int = 0
+    stale_pops: int = 0
     runtime: float = 0.0
 
 
@@ -253,7 +264,10 @@ class Search:
     deterministic and no comparison reaches ``parent``, the expanded node
     the entry was generated from (None for the start), or ``level``, its
     ladder level. An entry's SearchNode is built only when it is popped and
-    its key is not yet closed, so stale duplicates allocate nothing.
+    its key is not yet closed, so the few stale duplicates left allocate
+    nothing. Most are never queued: per ladder level, ``_queued`` maps a
+    cell's flat index to ``(g, mask)``, the g of the cell's last expansion
+    there and the circle offsets queued at that g, which expand() skips.
 
     Only this class reads or writes the grid's ``circle_tables``. It maps
     each radius a search reached to its ring ``(radius, steps, n,
@@ -289,6 +303,8 @@ class Search:
         self._cos_threshold = turn_cos_threshold(cfg.alpha_max)
         # Per ladder level, filled on its first expansion by _ring().
         self._rings: list = [None] * len(self.levels)
+        # Per ladder level: a cell's flat index -> (g, offsets queued), see expand().
+        self._queued: list = [{} for _ in self.levels]
 
     def _ring(self, level: int) -> tuple:
         # A ladder level's ring, built on the grid by the first search that
@@ -338,6 +354,19 @@ class Search:
         pop. If nothing survives and the ladder has a next level, the node
         moves to it and the scan repeats there, counted as one more
         expansion and one descent; at the last level it is discarded.
+
+        A survivor is dominated, and not pushed, when the cell's entry in
+        ``_queued`` for this level holds its offset and the node's g equals
+        the entry's g or exceeds it by more than the rounding of a child's f
+        can hide. A child's h does not depend on the cell's parent, so the
+        earlier copy sorts first on (f, -g, key, seq) and the later one
+        could only pop stale. The tie guard matters: one ulp more g can
+        round to the same f and then sort first. A dominated survivor
+        counts as generated and keeps the node from descending. The entry
+        is read only when the arc has visible targets. Once the node
+        queues a child from the circle, the entry becomes the node's g with
+        those targets, plus the old offsets when they dominated; until
+        then it stays as it was.
         """
         cell = node.cell
         col, row = cell
@@ -351,10 +380,11 @@ class Search:
         flat = row * grid.width + col
         key0 = ident * base + ident + 1  # a child's key less its offset's shift
         goal_shift = (gdc * grid.height + gdr) * base
-        level = node.level
+        g0, weight = node.g, self.cfg.weight
+        level, queued_levels = node.level, self._queued
         while True:
             radius, targets, count, full, memo, rays = self._rings[level] or self._ring(level)
-            survivors = []
+            survivors, dominated = [], 0
             if targets:
                 need = full if parent is None else arc_window(radius, hx, hy, self.cfg.alpha_max)
                 bits = memo.get(flat, 0)
@@ -363,18 +393,39 @@ class Search:
                     bits |= missing << count | sight_bits(grid, cell, rays, missing)
                     memo[flat] = bits
                 bits &= need
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    target = targets[low.bit_length() - 1]
-                    if key0 + target[3] not in closed:
-                        survivors.append(target)
-            # A goal on the circle that sight_bits rejected fails the same tests here.
-            if dg < self.levels[level] and goal_shift not in [t[3] for t in survivors]:
+                if bits:
+                    queued = queued_levels[level]
+                    done = queued.get(flat)
+                    # A child's step is below radius + 1, so its f is below
+                    # g0 + radius + 1 + weight * (dg + radius + 1).
+                    if done is not None and (g0 == done[0] or g0 - done[0] > _TIE_SLACK * (
+                            g0 + radius + 1 + weight * (dg + radius + 1))):
+                        skip = bits & done[1]
+                        mask = done[1] | bits
+                        bits ^= skip
+                        while skip:
+                            low = skip & -skip
+                            skip ^= low
+                            if key0 + targets[low.bit_length() - 1][3] not in closed:
+                                dominated += 1
+                    else:
+                        mask = bits
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        target = targets[low.bit_length() - 1]
+                        if key0 + target[3] not in closed:
+                            survivors.append(target)
+                    if survivors:
+                        queued[flat] = g0, mask
+            # A goal on the circle is a target, decided by the scan above.
+            if dg < self.levels[level]:
+                goal_step = (gdc, gdr, dg, goal_shift)
                 if ((parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold))
-                        and line_of_sight(grid, cell, goal) and key0 + goal_shift not in closed):
-                    survivors.append((gdc, gdr, dg, goal_shift))
-            if survivors:
+                        and line_of_sight(grid, cell, goal) and key0 + goal_shift not in closed
+                        and goal_step not in targets):
+                    survivors.append(goal_step)
+            if survivors or dominated:
                 break
             if level + 1 == len(self.levels):
                 return
@@ -388,19 +439,20 @@ class Search:
                 0 if parent is None else parent.cell[0] * grid.height + parent.cell[1] + 1))
             while self.open and self.open[0][:3] == head:
                 heapq.heappop(self.open)
+                stats.stale_pops += 1
 
         child_level = level
         if level > 0 and parent is not None and self._streak_reached(node):
             child_level -= 1
         push, open_, seq = heapq.heappush, self.open, self._seq
-        g0, weight = node.g, self.cfg.weight
         for dc, dr, step, shift in survivors:
             seq += 1
             g = g0 + step
             push(open_, (g + weight * math.hypot(gdc - dc, gdr - dr), -g, key0 + shift, seq,
                          node, child_level))
         self._seq = seq
-        stats.generated += len(survivors)
+        stats.generated += len(survivors) + dominated
+        stats.dominated += dominated
         if len(open_) > stats.max_open:
             stats.max_open = len(open_)
 
@@ -432,6 +484,7 @@ class Search:
             if key in closed:
                 # Stale duplicate of an identity already expanded via
                 # another open-list entry; nothing new to generate.
+                stats.stale_pops += 1
                 continue
             closed.add(key)
             stats.expansions += 1

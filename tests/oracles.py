@@ -7,7 +7,8 @@ circle oracle rasterizes by per-row nearest-point search, the reachability
 oracle exhaustively enumerates (cell, parent-cell) states with a plain FIFO
 queue, the successor oracle lists an expansion's raw candidates without the
 planner's arc and visibility tables, and the reference search pushes each
-expansion's children in whatever order its caller draws. The seeded grid
+expansion's children in whatever order its caller draws, every one of them,
+marking those the planner's dominance rule drops. The seeded grid
 and endpoint helpers the test modules share live here too, once.
 """
 
@@ -297,19 +298,31 @@ def reference_search(grid, start, goal, cfg, shuffle):
     expansion differ in cell, so no two tie before insertion order, and the
     order they are pushed in changes no verdict, path or counter. time_cap
     is ignored.
+
+    Every child is pushed, but those the planner's dominance rule drops are
+    marked: per (cell, level) the g of the cell's last expansion there that
+    queued a child from the circle, and the circle offsets queued at that
+    g; a later expansion at the same g, or at a g above it by more than
+    rounding of a child's f can hide, marks its children on those offsets
+    and adds the offsets it queues. A marked entry
+    must pop stale (its identity already closed, never the goal), or not at
+    all. It counts in ``generated`` and ``dominated``; ``max_open`` and
+    ``stale_pops`` count unmarked entries only.
     """
     levels = delta_levels(cfg)
     threshold = turn_cos_threshold(cfg.alpha_max)
     stats = SearchStats()
     open_, closed = [], {}
-    seq = 0
+    queued = {}  # (cell, level) -> (g, set of circle offsets queued)
+    seq = marked_open = 0
 
-    def push(node):  # node: [cell, parent node, g, f, level]
-        nonlocal seq
+    def push(node, marked=False):  # node: [cell, parent node, g, f, level]
+        nonlocal seq, marked_open
         seq += 1
+        marked_open += marked
         parent_cell = node[1][0] if node[1] else (-1, -1)
-        heapq.heappush(open_, (node[3], -node[2], node[0], parent_cell, seq, node))
-        stats.max_open = max(stats.max_open, len(open_))
+        heapq.heappush(open_, (node[3], -node[2], node[0], parent_cell, seq, marked, node))
+        stats.max_open = max(stats.max_open, len(open_) - marked_open)
 
     def streak(node):
         current = node
@@ -321,16 +334,20 @@ def reference_search(grid, start, goal, cfg, shuffle):
 
     push([start, None, 0.0, cfg.weight * euclid(start, goal), 0])
     while open_:
-        *_, node = heapq.heappop(open_)
+        *_, marked, node = heapq.heappop(open_)
+        marked_open -= marked
         cell, parent, g, _, level = node
+        ident = (cell, parent[0] if parent else None)
+        if marked:
+            assert cell != goal and ident in closed, (cell, ident)
         if cell == goal:
             path = []
             while node is not None:
                 path.append(node[0])
                 node = node[1]
             return Verdict.FOUND, path[::-1], stats
-        ident = (cell, parent[0] if parent else None)
         if ident in closed and closed[ident] is not node:
+            stats.stale_pops += not marked
             continue
         closed[ident] = node
         stats.expansions += 1
@@ -339,6 +356,16 @@ def reference_search(grid, start, goal, cfg, shuffle):
             lambda cand: (cand, cell) in closed,
         )
         shuffle(children)
+        radius = max(1, round(levels[level]))
+        offset = {child: (child[0] - cell[0], child[1] - cell[1]) for child in children}
+        old = queued.get((cell, level))
+        reach = g + radius + 1 + cfg.weight * (euclid(cell, goal) + radius + 1)
+        skip = set()
+        if old is not None and (g == old[0] or g - old[0] > 2.0 ** -40 * reach):
+            skip = old[1]
+        new = ({offset[c] for c in children} & set(circle_offsets(radius))) - skip
+        if new:
+            queued[(cell, level)] = (g, skip | new)
         if not children:
             if level + 1 < len(levels):
                 node[4] = level + 1
@@ -348,6 +375,8 @@ def reference_search(grid, start, goal, cfg, shuffle):
         child_level = level - 1 if level > 0 and parent and streak(node) else level
         for child in children:
             cg = g + euclid(cell, child)
-            push([child, node, cg, cg + cfg.weight * euclid(child, goal), child_level])
+            push([child, node, cg, cg + cfg.weight * euclid(child, goal), child_level],
+                 offset[child] in skip)
+            stats.dominated += offset[child] in skip
         stats.generated += len(children)
     return Verdict.NOT_FOUND, None, stats

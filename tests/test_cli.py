@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import mapgen
 from anglepath.cli import main
@@ -387,3 +391,107 @@ class TestBench:
         assert proc.returncode == 3, proc.stderr
         assert "delta_max" in proc.stderr
         assert time.perf_counter() - t0 < 20
+
+
+# Small input files for the whole-CLI property test: valid, malformed and
+# non-UTF-8 ones, by name. The test also names missing files ("nope.*") and
+# passes a scenario file more than once.
+CLI_FILES = {
+    "open.map": b"type octile\nheight 8\nwidth 8\nmap\n" + b"........\n" * 8,
+    "ascii.map": b"......\n.#....\n......\n....#.\n",
+    "walled.map": b"......\n...###\n...#..\n...###\n",  # (5, 2) is walled in
+    "bad.map": b"type octile\nheight 3\nwidth 9\nmap\n...\n",
+    "latin1.map": b"type octile\nheight 1\nwidth 2\nmap\n.\xe9\n",
+    "ok.scen": b"version 1\n0\topen.map\t8\t8\t1\t1\t6\t6\t7.1\n"
+               b"0\topen.map\t8\t8\t0\t7\t7\t0\t9.9\n",
+    "ascii.scen": b"version 1\n0\tascii.map\t6\t4\t1\t1\t5\t3\t5\n"
+                  b"0\tascii.map\t6\t4\t0\t0\t5\t0\t5\n",
+    "ghost.scen": b"version 1\n0\tghost.map\t8\t8\t0\t0\t5\t5\t7.1\n",
+    "bad.scen": b"version 2\n0\topen.map\n",
+    "latin1.scen": b"version 1\n0\topen\xff.map\t8\t8\t0\t0\t5\t5\t7.1\n",
+    "ok.json": json.dumps([
+        {"mode": "lian", "delta_max": 3, "alpha_max": 45},
+        {"mode": "elian", "delta_max": 4, "delta_min": 2, "alpha_max": 45},
+    ]).encode(),
+    "same-row.json": json.dumps([
+        {"mode": "lian", "delta_max": 3, "weight": 1},
+        {"mode": "lian", "delta_max": 3, "weight": 2},
+    ]).encode(),
+    "bad.json": b'[{"mode": "lian",',
+    "keys.json": b'[{"bogus": 1}]',
+    "empty.json": b"[]",
+    "latin1.json": b'[{"mode": "lian", "label": "\xff"}]',
+}
+NUMBERS = ("1", "2.5", "4", "45", "180", "1e300")
+BAD_NUMBERS = ("0", "-1", "0.5", "0.99", "1e400", "nan", "inf", "x")
+CELLS = ("0,0", "5,2", "2,3", "1,1", "6,6")
+BAD_CELLS = ("99,1", "-1,0", "1", "a,b", "1,1,1")
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    for name, data in CLI_FILES.items():
+        (root / name).write_bytes(data)
+    return root
+
+
+def flag_values(flags):
+    """A strategy for some of ``flags`` (name -> value strategy), flattened."""
+    names = st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)
+    return names.flatmap(lambda chosen: st.tuples(*(flags[n] for n in chosen)).map(
+        lambda values: [part for n, v in zip(chosen, values) for part in (n, v)]))
+
+
+def cli_argv(path):
+    """A strategy for argv: a command and drawn flags, files named by ``path``."""
+    maps = st.one_of(st.sampled_from(["open.map", "ascii.map", "walled.map"]),
+                     st.sampled_from(["bad.map", "latin1.map", "nope.map"]))
+    scens = st.sampled_from([n for n in CLI_FILES if n.endswith(".scen")] + ["nope.scen"])
+    jsons = st.sampled_from([n for n in CLI_FILES if n.endswith(".json")] + ["nope.json"])
+    numbers = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(BAD_NUMBERS))
+    cells = st.one_of(st.sampled_from(CELLS), st.sampled_from(BAD_CELLS))
+    plan_flags = {
+        "--alg": st.sampled_from(["lian", "elian", "x"]),
+        "--delta-max": numbers, "--delta-min": numbers, "--k": numbers, "--angle": numbers,
+        "--hweight": numbers, "--timeout": numbers,
+        "--svg": st.sampled_from(["out.svg", "no-dir/out.svg"]).map(path),
+    }
+    bench_flags = {
+        "--maps-dir": st.sampled_from([".", "no-dir"]).map(path),
+        "--configs": jsons.map(path),
+        # No value above 1: each example starts no worker process.
+        "--jobs": st.sampled_from(["1", "0", "-3", "x"]),
+        "--format": st.sampled_from(["csv", "json", "xml"]),
+        "--baseline": st.sampled_from(["lian-3", "elian-4-2", "lian-20", "nope"]),
+    }
+    plan = st.tuples(maps.map(path), cells, cells, flag_values(plan_flags)).map(
+        lambda t: ["plan", "--map", t[0], "--start", t[1], "--goal", t[2], *t[3]])
+    bench = st.tuples(
+        st.lists(scens.map(path), min_size=1, max_size=3),  # may repeat a file
+        flag_values(bench_flags),
+        st.sampled_from(["o", "no-dir/o"]).map(path),
+    ).map(lambda t: ["bench", "--scen", *t[0], *t[1], "--out", t[2]])
+    other = st.lists(st.sampled_from(["plan", "bench", "--help", "--bogus", "x"]), max_size=3)
+    return st.one_of(plan, bench, other)
+
+
+class TestWholeCli:
+    @settings(max_examples=300)
+    @given(data=st.data(), old_records=st.booleans())
+    def test_any_argv_ends_in_an_exit_code(self, cli_dir, data, old_records):
+        argv = data.draw(cli_argv(lambda name: str(cli_dir / name)))
+        for prefix in ("o", "no-dir/o"):
+            for leftover in cli_dir.glob(f"{prefix}.*"):
+                leftover.unlink()
+        records = cli_dir / "o.records.jsonl"
+        if old_records:
+            records.write_bytes(b"old\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"{argv[0] if argv else 'no command'}: exit {code}")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if code == 3 and old_records:
+            assert records.read_bytes() == b"old\n", argv

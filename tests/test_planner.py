@@ -625,14 +625,16 @@ class TestRunLoop:
 
     def test_closed_identity_entry_skipped_unexpanded(self):
         # Two expansions of cell (10, 15) from different parents both push a
-        # lazy entry for ((15, 15), (10, 15)); only the first may expand.
+        # lazy entry for ((15, 15), (10, 15)): the second at a lower g, so
+        # it is not dominated. Only the cheaper one may expand.
         grid = empty_grid(30)
         s = Search(grid, (2, 15), (27, 15), PlannerConfig(
             mode="lian", delta_max=5, alpha_max=25, weight=2, time_cap=10))
-        a = SearchNode((10, 15), SearchNode((5, 15), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
+        a = SearchNode((10, 15), SearchNode((5, 15), None, 0.0, 0.0, 0), 1.0, 1.0, 0)
         b = SearchNode((10, 15), SearchNode((5, 16), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
         s.expand(a)
         s.expand(b)
+        assert s.stats.dominated == 0
         pushed = open_entries(s)
         idents = [(cell, parent_cell) for cell, parent_cell, _, _, _ in pushed]
         assert idents.count(((15, 15), (10, 15))) == 2
@@ -642,9 +644,10 @@ class TestRunLoop:
         assert out.verdict is Verdict.NOT_FOUND
         # Every identity expands once, the start last (its f is the largest).
         assert out.stats.expansions == len(expanded) == len(set(idents)) + 1
+        assert out.stats.stale_pops == len(idents) - len(set(idents))
         assert expanded[-1].cell == (2, 15)
         [node] = [node for node in expanded if node.cell == (15, 15)]
-        assert node.parent is a  # the first-pushed entry of the pair
+        assert node.parent is b  # the lower-g entry of the pair
         assert len(s.closed) == len(expanded)
 
     def test_goal_reached_through_lazy_entry(self):
@@ -669,6 +672,56 @@ class TestRunLoop:
         [parent] = [node for node in expanded[1:]
                     if (node.cell, node.parent.cell) == (out.path[-2], out.path[-3])]
         assert reconstruct_path(parent) + [goal] == out.path
+
+
+class TestDominance:
+    """A cell expanded again at one level queues no child its earlier
+    expansion there queued at a g that sorts no later."""
+
+    CFG = PlannerConfig(mode="lian", delta_max=5, alpha_max=25, weight=2, time_cap=10)
+
+    @staticmethod
+    def node(parent_cell, g):
+        return SearchNode((10, 15), SearchNode(parent_cell, None, 0.0, 0.0, 0), g, 0.0, 0)
+
+    def cells(self, cfg, *nodes):
+        """Cells each expansion of ``nodes`` queues, expanded in order in one search."""
+        s = Search(empty_grid(30), (2, 15), (27, 15), cfg)
+        queued = []
+        for node in nodes:
+            before = len(s.open)
+            s.expand(node)
+            queued.append({cell for cell, *_ in open_entries(s)[before:]})
+        return s, queued
+
+    def test_equal_g_queues_no_shared_child(self):
+        _, [alone] = self.cells(self.CFG, self.node((5, 17), 3.0))
+        s, [first, second] = self.cells(self.CFG, self.node((5, 15), 3.0),
+                                        self.node((5, 17), 3.0))
+        shared = first & alone
+        assert shared and alone - shared
+        assert second == alone - shared
+        # The dominated children still count as generated.
+        assert s.stats.dominated == len(shared)
+        assert s.stats.generated == len(first) + len(alone)
+
+    def test_one_ulp_higher_g_queues_again(self):
+        # One ulp more g may round a child's f to the same value with a
+        # larger g, which sorts first: the tie guard queues the second copy.
+        g = 3.0
+        s, [first, second] = self.cells(self.CFG, self.node((5, 15), g),
+                                        self.node((5, 16), math.nextafter(g, math.inf)))
+        assert first & second and s.stats.dominated == 0
+
+    def test_all_dominated_keeps_level(self):
+        # Parents on one line give one heading, so one arc: every successor
+        # of the second expansion is dominated, and that node neither
+        # descends the ladder nor queues anything.
+        cfg = elian_cfg(dmax=5, dmin=2)
+        second = self.node((0, 15), 7.0)
+        s, [first, queued] = self.cells(cfg, self.node((5, 15), 3.0), second)
+        assert queued == set() and s.stats.dominated == len(first) > 0
+        assert (second.level, s.stats.reinsertions) == (0, 0)
 
 
 def differential_instance(seed, mirror):
@@ -716,6 +769,11 @@ class TestMatchesReferenceSearch:
              k=0.7, weight=2.0, streak=3, push_seed=0)
     @example(seed=10, mirror=True, alpha=180.0, warm_alpha=45.0, ladder=("elian", 6, 1),
              k=0.5, weight=1.0, streak=1, push_seed=0)
+    # A cell reached at g values one ulp apart: its children's f round to the
+    # same value and the larger g pops first, so the later expansion must
+    # queue them again (the tie guard of Search.expand).
+    @example(seed=359885, mirror=True, alpha=180.0, warm_alpha=180.0, ladder=("lian", 6, 6),
+             k=0.7, weight=1.0, streak=2, push_seed=0)
     def test_verdict_path_and_counters(self, seed, mirror, alpha, warm_alpha, ladder, k,
                                        weight, streak, push_seed):
         inst = differential_instance(seed, mirror)
@@ -739,7 +797,8 @@ class TestMatchesReferenceSearch:
 
     @staticmethod
     def counters(stats):
-        return stats.expansions, stats.generated, stats.reinsertions, stats.max_open
+        return (stats.expansions, stats.generated, stats.reinsertions, stats.max_open,
+                stats.dominated, stats.stale_pops)
 
 
 # (expansions, generated, reinsertions, max_open) per mapgen.corridor_suite()
