@@ -20,6 +20,7 @@ and the planner keeps its own per-grid rings of circle rays.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 from .grids import MAX_RUN, Cell, Grid
@@ -102,13 +103,33 @@ def turn_bits(hx: int, hy: int, offsets: tuple[Offset, ...], threshold: float) -
     second clause is exact integer arithmetic: at alpha_max = 0 rounding
     alone rejects such moves, since hypot(2, 1) ** 2 is 5.000000000000001.
     """
-    heading_norm = math.hypot(hx, hy)
+    scale = threshold * math.hypot(hx, hy)  # the product's first factor
     bits = 0
     for j, (dc, dr) in enumerate(offsets):
-        if (hx * dc + hy * dr >= threshold * heading_norm * math.hypot(dc, dr)
+        if (hx * dc + hy * dr >= scale * math.hypot(dc, dr)
                 or (hx * dr == hy * dc and hx * dc + hy * dr > 0)):
             bits |= 1 << j
     return bits
+
+
+# arc_window() leaves every offset this close (radians) to an edge of its
+# window to turn_bits(). An offset farther in or out passes or fails the
+# cosine test by at least 1 - cos(ARC_SLACK) = 5e-9, far above its rounding.
+ARC_SLACK = 1e-4
+
+
+@lru_cache(maxsize=None)
+def _by_angle(offsets: tuple[Offset, ...]) -> tuple[list[float], list[int], list[int]]:
+    # The offsets' indices in atan2 order, three times round from -3*pi, with
+    # their angles and the xor of 1 << index over each prefix of that order.
+    order = sorted(range(len(offsets)), key=lambda j: math.atan2(offsets[j][1], offsets[j][0]))
+    angles = [math.atan2(offsets[j][1], offsets[j][0]) for j in order]
+    angles = [a + turn for turn in (-2 * math.pi, 0.0, 2 * math.pi) for a in angles]
+    order *= 3
+    prefix = [0]
+    for j in order:
+        prefix.append(prefix[-1] ^ 1 << j)
+    return angles, order, prefix
 
 
 @lru_cache(maxsize=None)
@@ -116,9 +137,28 @@ def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
     """The circle offsets a move with heading (hx, hy) may turn to, as bits.
 
     Bit j is set iff offset j of circle_offsets(radius) passes turn_bits()
-    at turn_cos_threshold(alpha_max).
+    at turn_cos_threshold(alpha_max). The window is the offsets within
+    acos(threshold) of the heading's angle, found by bisection on the
+    circle's offsets sorted by angle: those more than ARC_SLACK inside its
+    edges pass, and turn_bits() decides those within ARC_SLACK of them.
     """
-    return turn_bits(hx, hy, circle_offsets(radius), turn_cos_threshold(alpha_max))
+    offsets = circle_offsets(radius)
+    threshold = turn_cos_threshold(alpha_max)
+    if threshold < -1.0:
+        return (1 << len(offsets)) - 1
+    angles, order, prefix = _by_angle(offsets)
+    heading, half = math.atan2(hy, hx), math.acos(threshold)
+    lo, b, c, hi = (bisect_left(angles, heading + edge) for edge in (
+        -half - ARC_SLACK, -half + ARC_SLACK, half - ARC_SLACK, half + ARC_SLACK))
+    if b < c:  # the inside is under 2*pi wide: it holds each offset once at most
+        bits, edges = prefix[c] ^ prefix[b], order[lo:b] + order[c:hi]
+    else:
+        bits, edges = 0, order[lo:hi]
+    passed = turn_bits(hx, hy, tuple(offsets[j] for j in edges), threshold)
+    for t, j in enumerate(edges):
+        if passed >> t & 1:
+            bits |= 1 << j
+    return bits
 
 
 # A ray is the segment from (0,0) to (dcol,drow) laid out for one grid

@@ -11,9 +11,12 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from collections import deque
 from dataclasses import dataclass, fields
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -102,8 +105,8 @@ class BatchResult:
 
 
 # The grids of the batch being run, by map_id, so that a task names its map
-# instead of carrying a pickled Grid: the pool's initializer fills it in each
-# worker process, and run_batch fills it here when it runs the tasks itself.
+# instead of carrying a pickled Grid: each worker process fills it when it
+# starts, and run_batch fills it here when it runs the tasks itself.
 _grids: Mapping[str, Grid] = {}
 
 
@@ -125,6 +128,127 @@ def _run_task(task: tuple[ScenarioSet, PlannerConfig]) -> tuple[list[RunRecord],
     return records, errors
 
 
+# Tasks a worker holds at once: the one it runs and the next, so that it
+# never waits for this process between tasks.
+_IN_FLIGHT = 2
+
+
+def _stretches(map_ids: Sequence[str], weights: Sequence[int], lanes: int) -> list[deque[int]]:
+    """The task indices each of ``lanes`` workers walks, front first.
+
+    The walk visits the maps in order of first appearance and each map's
+    tasks in task order; it is cut into ``lanes`` contiguous stretches of
+    near-equal total weight, at map boundaries when there are at least as
+    many maps as lanes. Needs 1 <= lanes <= len(map_ids).
+    """
+    first: dict[str, int] = {}
+    for map_id in map_ids:
+        first.setdefault(map_id, len(first))
+    walk = sorted(range(len(map_ids)), key=lambda i: first[map_ids[i]])
+    cum = [0]
+    for i in walk:
+        cum.append(cum[-1] + weights[i])
+    cuts = [p for p in range(1, len(walk)) if map_ids[walk[p]] != map_ids[walk[p - 1]]]
+    if len(cuts) < lanes - 1:
+        cuts = list(range(1, len(walk)))
+    bounds, k = [0], 0
+    for lane in range(1, lanes):
+        # Nearest to the lane's share, leaving a cut for each lane after it.
+        target = cum[-1] * lane / lanes
+        k = min(range(k, len(cuts) - lanes + lane + 1), key=lambda c: abs(cum[cuts[c]] - target))
+        bounds.append(cuts[k])
+        k += 1
+    bounds.append(len(walk))
+    return [deque(walk[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _next_task(stretches: list[deque[int]], lane: int) -> int | None:
+    # The front of the lane's own stretch, else the far end of the longest.
+    if stretches[lane]:
+        return stretches[lane].popleft()
+    longest = max(stretches, key=len)
+    return longest.pop() if longest else None
+
+
+def _lane(conn, parent_end, grids: Mapping[str, Grid], tasks) -> None:
+    # A worker process: runs the tasks whose indices arrive, answering
+    # (index, result, None) or (index, exception, its traceback), until
+    # run_batch stops it.
+    parent_end.close()  # so that the worker sees EOF if run_batch's process dies
+    _use_grids(grids)
+    while True:
+        index = conn.recv()
+        try:
+            conn.send((index, _run_task(tasks[index]), None))
+        except Exception as exc:
+            conn.send((index, exc, traceback.format_exc()))
+
+
+def _run_lanes(tasks, grids: Mapping[str, Grid], lanes: int, emit) -> None:
+    """Run the tasks on ``lanes`` worker processes, emitting results in order.
+
+    Each worker walks its own stretch (see _stretches), so each map's sight
+    memo is filled in one process, and then takes the far end of the
+    longest stretch left. When a task raises, only the tasks before it are
+    still run and emitted, and then its exception is raised; no worker
+    outlives the call.
+    """
+    stretches = _stretches([scen.map_id for scen, _ in tasks],
+                           [len(scen.instances) for scen, _ in tasks], lanes)
+    conns, procs = [], []
+
+    def lost(lane: int) -> ChildProcessError:
+        procs[lane].join()
+        return ChildProcessError(f"a batch worker exited with code {procs[lane].exitcode}")
+
+    try:
+        for _ in range(lanes):
+            mine, theirs = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_lane, args=(theirs, mine, grids, tasks),
+                                           daemon=True)
+            proc.start()
+            theirs.close()
+            conns.append(mine)
+            procs.append(proc)
+        in_flight = [0] * lanes
+        done: dict[int, tuple] = {}
+        emitted, limit, failure = 0, len(tasks), None
+        while emitted < limit:
+            for lane, conn in enumerate(conns):
+                while in_flight[lane] < _IN_FLIGHT:
+                    index = _next_task(stretches, lane)
+                    if index is None:
+                        break
+                    if index < limit:
+                        try:
+                            conn.send(index)
+                        except OSError:
+                            raise lost(lane) from None
+                        in_flight[lane] += 1
+            for conn in wait(conns):
+                lane = conns.index(conn)
+                try:
+                    index, result, trace = conn.recv()
+                except (EOFError, OSError):
+                    raise lost(lane) from None
+                in_flight[lane] -= 1
+                if trace is None:
+                    done[index] = result
+                elif index < limit:
+                    limit, failure = index, (result, trace)
+            while emitted in done:
+                emit(done.pop(emitted))
+                emitted += 1
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+    if failure is not None:
+        raise failure[0] from ChildProcessError(f"in a batch worker:\n{failure[1]}")
+
+
 def run_batch(
     scenarios: Iterable[ScenarioSet],
     configs: Sequence[PlannerConfig],
@@ -139,12 +263,15 @@ def run_batch(
     map_id itself, then its basename), once per batch; a map that fails
     gives one error and its sets are skipped. Records come back in
     deterministic (scenario, config, instance) order regardless of the
-    parallelism degree. A task is one (scenario set, config) pair, and one
-    function runs it against its process's table of the batch's grids: this
-    process's own at one worker, else up to ``jobs`` worker processes, never
-    more than there are tasks, each of which receives the grids once, through
-    the pool's initializer, and fills its own circle tables. This process's
-    table holds one batch at a time and is emptied when it returns.
+    parallelism degree, and reach ``record_sink`` in that order. A task is
+    one (scenario set, config) pair, and one function runs it against its
+    process's table of the batch's grids: this process's own at one worker,
+    else up to ``jobs`` worker processes (see _run_lanes), never more than
+    there are tasks, each of which receives the grids once, when it starts,
+    and fills its own circle tables. This process's table holds one batch at
+    a time and is emptied when it returns. A task that raises anything but
+    InputError ends the batch with that exception, after the tasks before it
+    have reached the sink.
     ``jobs < 1`` raises InputError, and so do two configs that would share a
     summary row (the same name at the same alpha_max) and an instance_id
     that appears twice, which aggregate() would count twice as run but once
@@ -188,26 +315,27 @@ def run_batch(
             runnable.append(scen)
 
     tasks = [(scen, cfg) for scen in runnable for cfg in configs]
+    records: list[RunRecord] = []
+
+    def emit(result: tuple[list[RunRecord], list[str]]) -> None:
+        # In task order: deterministic output, streamed to the sink.
+        task_records, task_errors = result
+        records.extend(task_records)
+        errors.extend(task_errors)
+        if record_sink is not None:
+            for record in task_records:
+                record_sink(record)
+
     workers = min(jobs, len(tasks))
-    pool = None
     if workers > 1:
-        pool = ProcessPoolExecutor(workers, initializer=_use_grids, initargs=(resolved,))
+        _run_lanes(tasks, resolved, workers, emit)
     else:
         _use_grids(resolved)
-    records: list[RunRecord] = []
-    try:
-        # In task order: deterministic output, streamed to the sink as each
-        # task finishes.
-        for task_records, task_errors in (pool.map if pool else map)(_run_task, tasks):
-            records.extend(task_records)
-            errors.extend(task_errors)
-            if record_sink is not None:
-                for record in task_records:
-                    record_sink(record)
-    finally:
-        _use_grids({})
-        if pool is not None:
-            pool.shutdown()
+        try:
+            for result in map(_run_task, tasks):
+                emit(result)
+        finally:
+            _use_grids({})
     return BatchResult(records=records, errors=errors)
 
 

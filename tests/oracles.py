@@ -6,9 +6,11 @@ of its bounding box with exact integer arithmetic, once per offset, the
 circle oracle rasterizes by per-row nearest-point search, the reachability
 oracle exhaustively enumerates (cell, parent-cell) states with a plain FIFO
 queue, the successor oracle lists an expansion's raw candidates without the
-planner's arc and visibility tables, and the reference search pushes each
-expansion's children in whatever order its caller draws, every one of them,
-marking those the planner's dominance rule drops. The seeded grid
+planner's arc and visibility tables, the arc-window oracle runs the turn
+test on every offset of the circle instead of bisecting by angle, and the
+reference search pushes each expansion's children in whatever order its
+caller draws, every one of them, marking those the planner's dominance
+rule drops. The seeded grid
 and endpoint helpers the test modules share live here too, once.
 """
 
@@ -33,7 +35,7 @@ from anglepath import (
     line_of_sight,
     turn_angle,
 )
-from anglepath.geometry import ANGLE_EPS_DEG, turn_cos_threshold
+from anglepath.geometry import ANGLE_EPS_DEG, turn_bits, turn_cos_threshold
 
 # ---------------------------------------------------------------------------
 # Seeded inputs and bounds shared by the test modules
@@ -219,6 +221,11 @@ def turn_ok(hx, hy, dc, dr, threshold) -> bool:
     if hx * dr == hy * dc and hx * dc + hy * dr > 0:
         return True  # straight on: a zero turn, whatever the rounding
     return hx * dc + hy * dr >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
+
+
+def arc_window_scan(radius, hx, hy, alpha_max) -> int:
+    """arc_window() as the scan of every circle offset it replaced."""
+    return turn_bits(hx, hy, circle_offsets(radius), turn_cos_threshold(alpha_max))
 
 
 def admitted_successors(grid, cell, parent_cell, delta, goal, threshold, closed):

@@ -17,7 +17,15 @@ from anglepath import (
 from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
 from anglepath.geometry import arc_window, ray, sight_bits, turn_cos_threshold
 from anglepath.grids import MAX_RUN
-from oracles import circle_oracle, empty_grid, los_oracle, random_grid, segment_cells, turn_ok
+from oracles import (
+    arc_window_scan,
+    circle_oracle,
+    empty_grid,
+    los_oracle,
+    random_grid,
+    segment_cells,
+    turn_ok,
+)
 
 
 class TestEuclid:
@@ -178,6 +186,28 @@ class TestArcWindow:
                 expected = [o for o in circle if turn_ok(hx, hy, *o, turn_cos_threshold(alpha))]
                 assert len(window) == len(set(window))
                 assert set(window) == set(expected), (radius, hx, hy)
+
+    DIFFERENTIAL_ALPHAS = (0.0, 1e-9, 20.0, 25.0, 30.0, 45.0, 60.0, 89.9999999, 90.0,
+                           90.0000001, 135.0, 179.999999999, 180.0)
+
+    @pytest.mark.parametrize("radius", list(range(1, 65)) + [600])
+    def test_equals_the_full_scan(self, radius):
+        # Bisection by angle must give the scan's bits exactly, edges
+        # included: headings from this and the neighbouring rings (a ladder
+        # step) and from goal steps up to 300 cells, at boundary alphas.
+        rng = random.Random(radius)
+        headings = []
+        for ring in (radius, max(1, radius // 2), 2 * radius):
+            circle = circle_offsets(ring)
+            headings += rng.sample(circle, min(8, len(circle)))
+        while len(headings) < 32:
+            step = (rng.randint(-300, 300), rng.randint(-300, 300))
+            if step != (0, 0):
+                headings.append(step)
+        for hx, hy in headings:
+            for alpha in self.DIFFERENTIAL_ALPHAS:
+                assert arc_window(radius, hx, hy, alpha) == arc_window_scan(
+                    radius, hx, hy, alpha), (radius, hx, hy, alpha)
 
     def test_broken_run_falls_back_to_explicit_offsets(self, monkeypatch):
         # The mask is per offset, whatever the circle's order: here the

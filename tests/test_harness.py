@@ -90,6 +90,10 @@ def tiny_scen(map_id, instances):
     )
 
 
+def timeless(records):
+    return [r.to_dict() | {"runtime_s": None} for r in records]
+
+
 class TestRunBatch:
     def setup_method(self):
         self.grid = empty_grid(40)
@@ -149,7 +153,7 @@ class TestRunBatch:
         assert result.errors == ["b.map: skipped instance b.map:5,5->30,30: start (5,5) is blocked"]
 
     def test_workers_receive_each_grid_once(self, monkeypatch):
-        # Grids reach the workers through the pool initializer, not inside
+        # Grids reach the workers once, when each starts, not inside
         # every task: the parent pickles each at most once per worker.
         scens = self.scens + [tiny_scen("b.map", [((2, 2), (30, 20))])]
         grids = dict(self.grids, **{"b.map": empty_grid(32)})
@@ -165,10 +169,6 @@ class TestRunBatch:
         parallel = run_batch(scens, self.configs, grids=grids, jobs=2)
         for grid in grids.values():
             assert sum(p is grid for p in pickled) <= 2
-
-        def timeless(records):
-            return [r.to_dict() | {"runtime_s": None} for r in records]
-
         assert timeless(parallel.records) == timeless(serial.records)
         assert parallel.errors == serial.errors
 
@@ -340,6 +340,124 @@ class TestRunBatch:
                 accumulated_angle(record.path), abs=1e-6
             )
 
+
+class TestLanes:
+    """run_batch at jobs > 1: map-contiguous stretches, stealing, task order."""
+
+    def setup_method(self):
+        # Four sets on three maps, of 2, 1, 3 and 1 instances; map a's two
+        # sets are not adjacent.
+        self.scens = [
+            tiny_scen("a.map", [((1, 1), (30, 1)), ((1, 2), (30, 30))]),
+            tiny_scen("b.map", [((2, 2), (30, 20))]),
+            tiny_scen("c.map", [((1, 1), (20, 30)), ((3, 3), (35, 5)), ((5, 1), (5, 30))]),
+            tiny_scen("a.map", [((2, 5), (25, 25))]),
+        ]
+        self.configs = [LIAN8, ELIAN84]
+        self.grids = {name: empty_grid(40) for name in ("a.map", "b.map", "c.map")}
+
+    def batch(self, jobs):
+        sunk = []
+        result = run_batch(self.scens, self.configs, grids=self.grids, jobs=jobs,
+                           record_sink=sunk.append)
+        return result, sunk
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_records_and_sink_in_serial_order(self, jobs):
+        import multiprocessing
+
+        serial, serial_sunk = self.batch(1)
+        assert len(serial.records) == 14
+        result, sunk = self.batch(jobs)
+        assert timeless(result.records) == timeless(serial.records)
+        assert timeless(sunk) == timeless(serial_sunk) == timeless(serial.records)
+        assert result.errors == serial.errors
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_failed_task_ends_the_batch_after_the_tasks_before_it(self, jobs, monkeypatch):
+        # Task 5, (c.map, elian), raises in whichever process runs it (a
+        # forked worker inherits the patch); tasks 0-4 hold 9 records.
+        import multiprocessing
+
+        from anglepath import harness
+
+        serial = run_batch(self.scens, self.configs, grids=self.grids)
+        run_task = harness._run_task
+
+        def failing(task):
+            scen, cfg = task
+            if scen.map_id == "c.map" and cfg == ELIAN84:
+                raise RuntimeError("task failed")
+            return run_task(task)
+
+        monkeypatch.setattr(harness, "_run_task", failing)
+        sunk = []
+        with pytest.raises(RuntimeError, match="task failed") as raised:
+            run_batch(self.scens, self.configs, grids=self.grids, jobs=jobs,
+                      record_sink=sunk.append)
+        assert multiprocessing.active_children() == []
+        assert timeless(sunk) == timeless(serial.records[:9])
+        assert harness._grids == {}
+        if jobs > 1:  # the worker's traceback comes along
+            assert "in failing" in str(raised.value.__cause__)
+
+    def test_dead_worker_ends_the_batch(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        from anglepath import harness
+
+        run_task = harness._run_task
+
+        def dying(task):
+            if task[0].map_id == "b.map":
+                os._exit(7)
+            return run_task(task)
+
+        monkeypatch.setattr(harness, "_run_task", dying)
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            run_batch(self.scens, self.configs, grids=self.grids, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_stretches_keep_each_map_on_one_lane(self):
+        from anglepath.harness import _stretches
+
+        rng = random.Random(5)
+        for _ in range(200):
+            maps = [f"m{i}" for i in range(rng.randint(1, 6))]
+            map_ids = [rng.choice(maps) for _ in range(rng.randint(1, 20))]
+            weights = [rng.randint(0, 5) for _ in map_ids]
+            for lanes in range(1, len(map_ids) + 1):
+                stretches = _stretches(map_ids, weights, lanes)
+                assert len(stretches) == lanes and all(stretches)
+                walk = [i for stretch in stretches for i in stretch]
+                # One walk, map by map in order of first appearance, each
+                # map's tasks in task order, cut into contiguous stretches.
+                firsts = list(dict.fromkeys(map_ids))
+                assert walk == sorted(range(len(map_ids)),
+                                      key=lambda i: firsts.index(map_ids[i]))
+                if len(firsts) >= lanes:
+                    for map_id in firsts:
+                        holders = [s for s in stretches if map_id in {map_ids[i] for i in s}]
+                        assert len(holders) == 1, (map_ids, lanes, stretches)
+
+    def test_cuts_balance_weight_and_thieves_take_the_far_end(self):
+        from anglepath.harness import _next_task, _stretches
+
+        map_ids = ["a", "a", "b", "c", "c", "c", "b", "d"]
+        # Walk a a b b c c c d, cut at the map boundaries nearest to thirds.
+        stretches = _stretches(map_ids, [1] * 8, 3)
+        assert [list(s) for s in stretches] == [[0, 1], [2, 6], [3, 4, 5, 7]]
+        # Lane 0 walks its own stretch from the front, then steals from the
+        # far end of the longest stretch left, the first of equals on a tie.
+        taken = [_next_task(stretches, 0) for _ in range(6)]
+        assert taken == [0, 1, 7, 5, 6, 4]
+        assert _next_task(stretches, 1) == 2
+        assert _next_task(stretches, 2) == 3
+        assert _next_task(stretches, 1) is None
+        # Fewer maps than lanes: the cut falls inside a map, by weight.
+        assert [list(s) for s in _stretches(["a"] * 4, [3, 1, 1, 1], 2)] == [[0], [1, 2, 3]]
 
 def fake_record(iid, algo, alpha, verdict, runtime=0.01, length=None, angle=None):
     found = verdict is Verdict.FOUND
