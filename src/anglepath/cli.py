@@ -1,6 +1,7 @@
 """Command-line interface: plan single instances, bench scenario batches.
 
-Exit codes: 0 path found / batch ok, 1 not found, 2 timeout, 3 input or usage error.
+Exit codes: 0 path found / batch ok, 1 not found, 2 timeout, 3 input or usage error,
+4 internal error (a batch worker died, or a search raised).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ EXIT_FOUND = 0
 EXIT_NOT_FOUND = 1
 EXIT_TIMEOUT = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 DEFAULT_BENCH_CONFIGS = [
     PlannerConfig(mode=mode, delta_min=delta_min)
@@ -176,9 +178,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "plan":
             return _cmd_plan(args)
         return _cmd_bench(args)
-    except (InputError, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except Exception as exc:
+        # A dead batch worker raises ChildProcessError: an OSError, but not
+        # the input's fault.
+        if (isinstance(exc, (InputError, ParseError, OSError))
+                and not isinstance(exc, ChildProcessError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -9,12 +9,14 @@ and the planner's goal test both call it, so they agree bit for bit.
 A segment is tested as a ray: ray() lays out the cells it crosses, in
 closed form, as row or column runs, each read from the grid's free-run
 tables (a run is free when the table entry at its first cell covers its
-length), plus the corner pairs it pinches. sight_bits() is the
-one routine that runs this test: over the rays a bitmask selects, such as
-the delta-circle offsets one expansion may move to, answering with a
-bitmask. line_of_sight() asks it for a single ray. Everything here is a
-pure function of its arguments; the caches are lru_caches keyed by them,
-and the planner keeps its own per-grid rings of circle rays.
+length), plus the corner pairs it pinches. sight_bits() runs this test
+from one cell over the rays a bitmask selects, such as the delta-circle
+offsets one expansion may move to, answering with a bitmask;
+line_of_sight() asks it for a single ray. sight_table() runs the same test
+from every cell of the grid at once, a bit per cell, and keeps a row of
+answers per cell. Everything here is a pure function of its arguments; the
+caches are lru_caches keyed by them, and the planner keeps its own per-grid
+rings of circle rays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
+
+import numpy as np
 
 from .grids import MAX_RUN, Cell, Grid
 
@@ -265,3 +269,65 @@ def sight_bits(
                 else:
                     seen |= low
     return seen
+
+
+# The 8x8 bit-matrix transpose (Warren, Hacker's Delight, 2nd ed., 7-3): three
+# masked swaps move bit 8i + j of a little-endian word to bit 8j + i.
+_TRANSPOSE_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
+)
+
+
+def sight_table(grid: Grid, rays: tuple[tuple[int, int, Ray | None], ...]) -> bytes:
+    """What every cell sees of ``rays``: one row of ``(len(rays) + 7) // 8``
+    bytes per cell, in flat index order.
+
+    A row read as a little-endian int equals sight_bits(grid, cell, rays,
+    (1 << len(rays)) - 1). Each ray is tested from every cell at once, in
+    the shift-and manner: bit i of an int over the cells is set iff cell i
+    has the property, and shifting it right by a ray's offset moves the
+    bit of cell i + offset to i. A cell sees the ray's target iff the
+    target is in bounds, each run (offset, n) is in the set of cells whose
+    free run covers n, shifted by the offset, and each corner pair has a
+    free member. Each eight rays' ints are then transposed into a byte
+    column of the table.
+    """
+    width, height = grid.width, grid.height
+    cells, size = width * height, (len(rays) + 7) // 8
+    span = (cells + 7) // 8
+    run_sets: dict[tuple[bool, int], int] = {}  # (along_rows, n) -> cells whose run covers n
+
+    def covers(along_rows: bool, length: int, off: int) -> int:
+        # The cells whose cell + off starts a free run of this length.
+        key = along_rows, length
+        if key not in run_sets:
+            free = np.frombuffer(grid.free_right if along_rows else grid.free_down, np.uint8)
+            run_sets[key] = int.from_bytes(np.packbits(free >= length, bitorder="little"), "little")
+        return run_sets[key] >> off if off >= 0 else run_sets[key] << -off
+
+    rows = np.zeros((cells, size), np.uint8)
+    group = np.zeros((span, 8), np.uint8)  # column i: the cells that see rays[8k + i]
+    inside = np.zeros((height, width), bool)
+    for j, (dc, dr, ray_j) in enumerate(rays):
+        seen = 0
+        if ray_j is not None:
+            inside[:] = False
+            inside[max(0, -dr):height - max(0, dr), max(0, -dc):width - max(0, dc)] = True
+            seen = int.from_bytes(np.packbits(inside, bitorder="little"), "little")
+            along_rows, runs, pairs = ray_j
+            for off, length in runs:
+                seen &= covers(along_rows, length, off)
+            for off1, off2 in pairs:  # a run of one is an unblocked cell
+                seen &= covers(True, 1, off1) | covers(True, 1, off2)
+        group[:, j % 8] = np.frombuffer(seen.to_bytes(span, "little"), np.uint8)
+        if j % 8 == 7 or j + 1 == len(rays):
+            # Word p holds the group's rays as its bytes and cells 8p..8p+7
+            # as their bits; transposed, its byte i is cell 8p + i's bits.
+            words = group.view("<u8")
+            for shift, mask in _TRANSPOSE_STEPS:
+                swap = (words ^ words >> shift) & mask
+                words = words ^ swap ^ swap << shift
+            rows[:, j // 8] = words.view(np.uint8).reshape(-1)[:cells]
+            group[:] = 0
+    return rows.tobytes()

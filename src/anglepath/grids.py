@@ -57,11 +57,10 @@ class Grid:
     ``free_right[i] >= n`` (``free_down[i] >= n`` for a column run), for
     n <= MAX_RUN, and a cell is blocked iff its ``free_right`` entry is 0.
 
-    ``circle_tables`` holds planner.Search's delta-circle rings on this
-    grid, one per radius: the circle's steps, its rays and the memo of
-    what each cell sees on it. Only that class reads or writes it, and its
-    docstring gives the format. It is derived data: pickling drops it and
-    searches on the unpickled grid fill it again as they go.
+    ``circle_tables`` holds the planner's delta-circle rings on this grid,
+    one per radius; planner.Search's docstring gives their layout. It is
+    derived data: pickling drops it and searches on the unpickled grid fill
+    it again as they go.
     """
 
     __slots__ = (

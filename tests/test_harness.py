@@ -303,6 +303,10 @@ class TestRunBatch:
         write_records(result.records, out)
         loaded = read_records(out)
         assert self.essence(loaded) == self.essence(result.records)
+        assert [r.config for r in loaded] == [r.config for r in result.records]
+        # The records share their config keys instead of a copy each.
+        first, *rest = loaded
+        assert all(a is b for r in rest for a, b in zip(first.config, r.config))
 
     def test_torn_last_line_dropped_only(self, tmp_path):
         out = tmp_path / "records.jsonl"
@@ -401,6 +405,33 @@ class TestLanes:
         assert harness._grids == {}
         if jobs > 1:  # the worker's traceback comes along
             assert "in failing" in str(raised.value.__cause__)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_records_the_same_without_prepare(self, jobs, monkeypatch):
+        # Sight tables change how a search learns what a cell sees, not what
+        # it finds. Walls make the searches turn and descend; a forked
+        # worker inherits the patch that skips prepare().
+        from anglepath import harness
+
+        blocked = np.zeros((40, 40), dtype=bool)
+        blocked[4, :30] = blocked[8:36, 12] = blocked[22, 16:] = True
+
+        def walled_batch():
+            self.grids = {name: Grid(blocked) for name in self.grids}
+            return self.batch(jobs)
+
+        (prepared, sunk), rings = walled_batch(), self.grids["a.map"].circle_tables
+        assert len(prepared.records) == 14 and prepared.errors == []
+        assert sum(r.reinsertions for r in prepared.records) > 0
+        if jobs == 1:  # the rings are this process's
+            assert all(ring[6] is not None for ring in rings.values())
+        monkeypatch.setattr(harness, "prepare", lambda grid, cfg: None)
+        bare, bare_sunk = walled_batch()
+        if jobs == 1:
+            assert all(ring[6] is None for ring in self.grids["a.map"].circle_tables.values())
+        assert timeless(bare.records) == timeless(prepared.records)
+        assert timeless(bare_sunk) == timeless(sunk) == timeless(prepared.records)
+        assert bare.errors == prepared.errors
 
     def test_dead_worker_ends_the_batch(self, monkeypatch):
         import multiprocessing

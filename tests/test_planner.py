@@ -2,6 +2,7 @@ import math
 import random
 import re
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from anglepath import (
     PlannerConfig,
     Search,
     SearchNode,
+    SearchStats,
     Verdict,
     delta_levels,
     line_of_sight,
@@ -24,7 +26,8 @@ from anglepath import (
     validate_path,
 )
 from anglepath.geometry import circle_offsets, turn_cos_threshold
-from anglepath.planner import MAX_LEVELS
+from anglepath import planner
+from anglepath.planner import MAX_LEVELS, prepare
 from oracles import (
     admitted_successors,
     delta_successors,
@@ -450,8 +453,94 @@ class TestHugeDelta:
         assert time.perf_counter() - t0 < 0.2 + 2.0
         assert out.verdict is Verdict.TIMEOUT
         # The kept answers grow with the cells expanded, not with the map.
-        radius, steps, count, full, memo, rays = grid.circle_tables[600]
+        radius, steps, count, full, memo, rays, table = grid.circle_tables[600]
         assert 1 <= len(memo) <= out.stats.expansions
+        assert table is None
+
+
+def essence(out):
+    # An outcome less its runtime: verdict, path and every other counter.
+    return out.verdict, out.path, [getattr(out.stats, f.name) for f in fields(SearchStats)
+                                   if f.name != "runtime"]
+
+
+class TestPrepare:
+    """prepare() gives rings sight tables; searches read them, same results."""
+
+    CONFIGS = (
+        PlannerConfig(mode="lian", delta_max=8, alpha_max=25),
+        PlannerConfig(mode="elian", delta_max=8, delta_min=2, k=0.5, alpha_max=25),
+        PlannerConfig(mode="elian", delta_max=12, delta_min=3, k=0.7, alpha_max=60),
+        PlannerConfig(mode="elian", delta_max=100, delta_min=5, k=0.2, alpha_max=20),
+    )
+
+    def test_prepared_searches_match_unprepared(self):
+        # The narrow-passage suite, where LIAN dead-ends and eLIAN descends,
+        # and small random grids, some with mirrored ties, under every config.
+        cases = [(grid, start, goal, cfg) for grid, start, goal in mapgen.corridor_suite()
+                 for cfg in self.CONFIGS[:2]]
+        for seed in range(48):
+            inst = differential_instance(seed, seed % 2 == 1)
+            if inst is not None:
+                cases.append((*inst, self.CONFIGS[seed % len(self.CONFIGS)]))
+        # A benchmark building map under the criterion-6 ladder.
+        building = Grid(mapgen.building_blocked(4))
+        free = [(c, r) for r in range(building.height) for c in range(building.width)
+                if not building.blocked_at(c, r)]
+        rng = random.Random(16)
+        elian = PlannerConfig(mode="elian", delta_max=20, delta_min=5, alpha_max=30)
+        cases += [(building, *rng.sample(free, 2), elian) for _ in range(6)]
+        descents = 0
+        for grid, start, goal, cfg in cases:
+            prepared = Grid(grid.blocked)
+            prepare(prepared, cfg)
+            out = search(prepared, start, goal, cfg)
+            assert essence(out) == essence(search(grid, start, goal, cfg)), (start, goal, cfg)
+            descents += out.stats.reinsertions
+        assert descents > 1000
+
+    def test_table_rings_walk_no_ray(self, monkeypatch):
+        # Expansions read a prepared ring's table: no call of sight_bits,
+        # and nothing in the memo.
+        grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
+        cfg = self.CONFIGS[1]
+        expected = essence(search(Grid(grid.blocked), start, goal, cfg))
+        prepare(grid, cfg)
+        monkeypatch.setattr(planner, "sight_bits", lambda *args: pytest.fail("walked a ray"))
+        assert essence(search(grid, start, goal, cfg)) == expected
+        assert sorted(grid.circle_tables) == [2, 4, 8]
+        for radius, steps, count, full, memo, rays, table in grid.circle_tables.values():
+            assert len(table) == grid.width * grid.height * ((count + 7) // 8)
+            assert memo == {}
+
+    def test_prepare_adds_a_table_to_a_searched_ring(self):
+        # A ring a search built keeps its steps and rays; its memo, which
+        # the table makes unread, is emptied.
+        grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
+        cfg = PlannerConfig(mode="lian", delta_max=8, alpha_max=25)
+        before = essence(search(grid, start, goal, cfg))
+        ring = grid.circle_tables[8]
+        assert ring[6] is None and ring[4]
+        prepare(grid, cfg)
+        tabled = grid.circle_tables[8]
+        assert tabled[:4] == ring[:4] and tabled[5] is ring[5]
+        assert tabled[4] == {} and tabled[6] is not None
+        prepare(grid, cfg)
+        assert grid.circle_tables[8] is tabled
+        assert essence(search(grid, start, goal, cfg)) == before
+
+    def test_no_table_above_the_cap_or_without_offsets(self, monkeypatch):
+        grid = empty_grid(20)
+        prepare(grid, PlannerConfig(mode="lian", delta_max=40))  # 40 >= 2 * 20
+        assert grid.circle_tables[40][2:4] == (0, 0)
+        assert grid.circle_tables[40][6] is None
+        # A radius-3 ring has 16 offsets: 2 bytes for each of 400 cells.
+        monkeypatch.setattr(planner, "MAX_TABLE_BYTES", 799)
+        prepare(grid, PlannerConfig(mode="lian", delta_max=3))
+        assert grid.circle_tables[3][6] is None
+        monkeypatch.setattr(planner, "MAX_TABLE_BYTES", 800)
+        prepare(grid, PlannerConfig(mode="lian", delta_max=3))
+        assert len(grid.circle_tables[3][6]) == 800
 
 
 class TestSearch:
