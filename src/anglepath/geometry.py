@@ -279,7 +279,7 @@ _TRANSPOSE_STEPS = tuple(
 )
 
 
-def sight_table(grid: Grid, rays: tuple[tuple[int, int, Ray | None], ...]) -> bytes:
+def sight_table(grid: Grid, rays: tuple[tuple[int, int, Ray | None], ...]) -> bytearray:
     """What every cell sees of ``rays``: one row of ``(len(rays) + 7) // 8``
     bytes per cell, in flat index order.
 
@@ -306,7 +306,8 @@ def sight_table(grid: Grid, rays: tuple[tuple[int, int, Ray | None], ...]) -> by
             run_sets[key] = int.from_bytes(np.packbits(free >= length, bitorder="little"), "little")
         return run_sets[key] >> off if off >= 0 else run_sets[key] << -off
 
-    rows = np.zeros((cells, size), np.uint8)
+    table = bytearray(cells * size)
+    rows = np.frombuffer(table, np.uint8).reshape(cells, size)  # writes go to table
     group = np.zeros((span, 8), np.uint8)  # column i: the cells that see rays[8k + i]
     inside = np.zeros((height, width), bool)
     for j, (dc, dr, ray_j) in enumerate(rays):
@@ -330,4 +331,4 @@ def sight_table(grid: Grid, rays: tuple[tuple[int, int, Ray | None], ...]) -> by
                 words = words ^ swap ^ swap << shift
             rows[:, j // 8] = words.view(np.uint8).reshape(-1)[:cells]
             group[:] = 0
-    return rows.tobytes()
+    return table

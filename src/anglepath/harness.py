@@ -13,7 +13,6 @@ import io
 import json
 import multiprocessing
 import statistics
-import sys
 import traceback
 from collections import deque
 from dataclasses import dataclass, fields
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import euclid, turn_angle
 from .grids import Cell, Grid, InputError, Instance, ParseError, ScenarioSet, load_map
-from .planner import PlannerConfig, Verdict, prepare, search
+from .planner import PlannerConfig, Verdict, prepare, release, search
 
 
 # RunRecord fields that may be None, and so may be missing from a dict.
@@ -58,9 +57,7 @@ class RunRecord:
             f.name: data.get(f.name) if f.name in _NULLABLE else data[f.name]
             for f in fields(cls)
         }
-        # Interned keys: the records of a file share one copy of each
-        # instead of holding their own, a third of a record's memory.
-        values["config"] = {sys.intern(key): value for key, value in values["config"].items()}
+        values["config"] = dict(values["config"])
         values["verdict"] = Verdict(values["verdict"])
         if values["path"] is not None:
             values["path"] = tuple((c[0], c[1]) for c in values["path"])
@@ -113,14 +110,29 @@ class BatchResult:
 _grids: Mapping[str, Grid] = {}
 
 
+# The one grid whose sight tables this process keeps. Tasks reach a process
+# map by map, so it frees a map's tables when it moves on to another map or
+# batch; a stolen task on a map left before builds them again.
+_prepared: Grid | None = None
+
+
+def _keep_tables(grid: Grid | None) -> None:
+    global _prepared
+    if _prepared is not None and _prepared is not grid:
+        release(_prepared)
+    _prepared = grid
+
+
 def _use_grids(grids: Mapping[str, Grid]) -> None:
     global _grids
     _grids = grids
+    _keep_tables(None)
 
 
 def _run_task(task: tuple[ScenarioSet, PlannerConfig]) -> tuple[list[RunRecord], list[str]]:
     scen, cfg = task
     grid = _grids[scen.map_id]
+    _keep_tables(grid)
     prepare(grid, cfg)  # outside every search's runtime, as loading the map is
     records: list[RunRecord] = []
     errors: list[str] = []
@@ -273,11 +285,13 @@ def run_batch(
     else up to ``jobs`` worker processes (see _run_lanes), never more than
     there are tasks, each of which receives the grids once, when it starts,
     and fills its own circle tables. A task first has planner.prepare()
-    build the sight tables its config needs on its grid, so each process
-    builds each once per map and radius. This process's table holds one
-    batch at a time and is emptied when it returns. A task that raises anything but
-    InputError ends the batch with that exception, after the tasks before it
-    have reached the sink.
+    build the sight tables its config needs on its grid. A process keeps
+    the tables of the last map it ran a task on and no other, so it builds
+    them once per stretch of tasks on a map, and no grid holds any after
+    run_batch returns. This process's table holds one batch at a time and
+    is emptied when it returns. A task that raises anything but InputError
+    ends the batch with that exception, after the tasks before it have
+    reached the sink.
     ``jobs < 1`` raises InputError, and so do two configs that would share a
     summary row (the same name at the same alpha_max) and an instance_id
     that appears twice, which aggregate() would count twice as run but once

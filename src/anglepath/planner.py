@@ -253,7 +253,10 @@ def validate_path(grid: Grid, path: list[Cell], alpha_max: float) -> PathViolati
 
 
 # prepare() builds no sight table larger than this; such rings walk rays.
-MAX_TABLE_BYTES = 1 << 25
+# It admits every ring of the default ladder (radii 20, 10, 5) on maps up
+# to 1024x1024: 14 MiB at radius 20 there, whose build took 0.2 s and about
+# 8 bytes per cell of temporaries (BENCH_16.json, table_cost).
+MAX_TABLE_BYTES = 1 << 24
 
 
 def _circle_ring(grid: Grid, radius: int, tabled: bool) -> tuple:
@@ -293,6 +296,15 @@ def prepare(grid: Grid, cfg: PlannerConfig) -> None:
         _circle_ring(grid, max(1, round(delta)), True)
 
 
+def release(grid: Grid) -> None:
+    """Drop the sight tables prepare() built on the grid; searches there
+    walk rays again, with the same results."""
+    rings = grid.circle_tables
+    for radius, ring in rings.items():
+        if ring[6] is not None:
+            rings[radius] = ring[:6] + (None,)
+
+
 class Search:
     """Single-shot search over one grid; owns all mutable state.
 
@@ -312,19 +324,19 @@ class Search:
     there and the circle offsets queued at that g, which expand() skips.
 
     The grid's ``circle_tables`` is read only here and written only by
-    _circle_ring(), for this class and prepare(). It maps each radius a
-    search or prepare() reached to its ring ``(radius, steps, n, (1 << n)
-    - 1, memo, rays, table)``, built once per grid over the n offsets of
-    circle_offsets(). Step j is (dcol, drow, hypot, key shift) of offset j;
-    rays[j] is (dcol, drow, ray), the ray None if the offset lands in the
-    grid from no cell. The memo maps a cell's flat index to ``asked << n |
-    seen``: bit j of ``asked`` is set once offset j was tested from the
-    cell, bit j of ``seen`` iff its target lies in the grid and in sight of
-    the cell. ``table`` is None, or geometry.sight_table() of the rays once
-    prepare() has built it: expansions then read a cell's row of the table,
-    and the memo stays empty. A circle of
-    radius >= 2 * max(width, height) lies farther out than any two cells
-    are apart: its ring has no offsets and no table.
+    _circle_ring(), for this class and prepare(), and by release(). It
+    maps each radius a search or prepare() reached to its ring ``(radius,
+    steps, n, (1 << n) - 1, memo, rays, table)``, built once per grid over
+    the n offsets of circle_offsets(). Step j is (dcol, drow, hypot, key
+    shift) of offset j; rays[j] is (dcol, drow, ray), the ray None if the
+    offset lands in the grid from no cell. The memo maps a cell's flat
+    index to ``asked << n | seen``: bit j of ``asked`` is set once offset j
+    was tested from the cell, bit j of ``seen`` iff its target lies in the
+    grid and in sight of the cell. ``table`` is None, or
+    geometry.sight_table() of the rays from prepare() until release():
+    expansions then read a cell's row of the table, and the memo stays
+    empty. A circle of radius >= 2 * max(width, height) lies farther out
+    than any two cells are apart: its ring has no offsets and no table.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):

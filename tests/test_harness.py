@@ -22,6 +22,7 @@ from anglepath.harness import (
     run_instance,
     write_records,
 )
+from anglepath.planner import prepare
 from oracles import empty_grid, random_endpoints, random_grid
 
 ELIAN84 = PlannerConfig(
@@ -304,9 +305,6 @@ class TestRunBatch:
         loaded = read_records(out)
         assert self.essence(loaded) == self.essence(result.records)
         assert [r.config for r in loaded] == [r.config for r in result.records]
-        # The records share their config keys instead of a copy each.
-        first, *rest = loaded
-        assert all(a is b for r in rest for a, b in zip(first.config, r.config))
 
     def test_torn_last_line_dropped_only(self, tmp_path):
         out = tmp_path / "records.jsonl"
@@ -423,8 +421,8 @@ class TestLanes:
         (prepared, sunk), rings = walled_batch(), self.grids["a.map"].circle_tables
         assert len(prepared.records) == 14 and prepared.errors == []
         assert sum(r.reinsertions for r in prepared.records) > 0
-        if jobs == 1:  # the rings are this process's
-            assert all(ring[6] is not None for ring in rings.values())
+        if jobs == 1:  # the rings are this process's, and their tables freed
+            assert rings and all(ring[6] is None for ring in rings.values())
         monkeypatch.setattr(harness, "prepare", lambda grid, cfg: None)
         bare, bare_sunk = walled_batch()
         if jobs == 1:
@@ -432,6 +430,24 @@ class TestLanes:
         assert timeless(bare.records) == timeless(prepared.records)
         assert timeless(bare_sunk) == timeless(sunk) == timeless(prepared.records)
         assert bare.errors == prepared.errors
+
+    def test_a_process_keeps_one_maps_tables(self, monkeypatch):
+        # Tasks run on maps a, a, b, b, c, c, a, a: after each prepare()
+        # only the task's own map holds tables, and after the batch none.
+        from anglepath import harness
+
+        held = []
+
+        def prepare_and_look(grid, cfg):
+            prepare(grid, cfg)
+            held.append([name for name, g in self.grids.items()
+                         if any(ring[6] is not None for ring in g.circle_tables.values())])
+
+        monkeypatch.setattr(harness, "prepare", prepare_and_look)
+        self.batch(1)
+        assert held == [["a.map"]] * 2 + [["b.map"]] * 2 + [["c.map"]] * 2 + [["a.map"]] * 2
+        assert all(ring[6] is None for g in self.grids.values() for ring in g.circle_tables.values())
+        assert harness._prepared is None
 
     def test_dead_worker_ends_the_batch(self, monkeypatch):
         import multiprocessing

@@ -27,7 +27,7 @@ from anglepath import (
 )
 from anglepath.geometry import circle_offsets, turn_cos_threshold
 from anglepath import planner
-from anglepath.planner import MAX_LEVELS, prepare
+from anglepath.planner import MAX_LEVELS, prepare, release
 from oracles import (
     admitted_successors,
     delta_successors,
@@ -528,6 +528,21 @@ class TestPrepare:
         prepare(grid, cfg)
         assert grid.circle_tables[8] is tabled
         assert essence(search(grid, start, goal, cfg)) == before
+
+    def test_release_drops_only_the_tables(self):
+        grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
+        cfg = self.CONFIGS[1]
+        prepare(grid, cfg)
+        tabled = dict(grid.circle_tables)
+        release(grid)
+        assert sorted(grid.circle_tables) == [2, 4, 8]
+        for radius, ring in grid.circle_tables.items():
+            assert ring[:6] == tabled[radius][:6] and ring[6] is None
+        assert essence(search(grid, start, goal, cfg)) == essence(
+            search(Grid(grid.blocked), start, goal, cfg))
+        walked = dict(grid.circle_tables)
+        release(grid)  # no tables: nothing changes
+        assert grid.circle_tables == walked
 
     def test_no_table_above_the_cap_or_without_offsets(self, monkeypatch):
         grid = empty_grid(20)
