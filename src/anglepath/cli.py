@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .grids import InputError, Instance, ParseError, load_map, load_scen
@@ -73,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_plan(args) -> int:
     grid = load_map(args.map)
-    flags = ("mode", "delta_max", "delta_min", "k", "alpha_max", "weight", "time_cap")
     cfg = PlannerConfig(**{
-        name: getattr(args, name) for name in flags if getattr(args, name) is not None
+        field.name: getattr(args, field.name) for field in fields(PlannerConfig)
+        if getattr(args, field.name, None) is not None
     })
     instance = Instance(map_id=Path(args.map).name, start=_parse_cell(args.start), goal=_parse_cell(args.goal))
     record = run_instance(grid, instance, cfg)

@@ -126,20 +126,26 @@ def _decode_rows(rows: list[tuple[int, str]], width: int, blocked_chars, passabl
     """The Grid of ``rows``, (line number, row text) pairs of terrain characters.
 
     Every row must hold ``width`` characters, each in ``blocked_chars`` or
-    ``passable_chars``; errors name the row's line.
+    ``passable_chars`` (ASCII characters both); errors name the row's line
+    and, for an unknown character, the first in row-major order.
     """
     for line, row in rows:
         if len(row) != width:
             raise ParseError(f"line {line}: row length {len(row)} != width {width}")
     # Allocated only once every row matched the width, however large.
-    blocked = np.zeros((len(rows), width), dtype=bool)
-    for r, (line, row) in enumerate(rows):
-        for c, ch in enumerate(row):
-            if ch in blocked_chars:
-                blocked[r, c] = True
-            elif ch not in passable_chars:
+    text = "".join(row for _, row in rows)
+    if text.isascii():
+        kinds = np.zeros(128, dtype=np.uint8)  # 0 unknown, 1 passable, 2 blocked
+        kinds[[ord(ch) for ch in passable_chars]] = 1
+        kinds[[ord(ch) for ch in blocked_chars]] = 2
+        cells = kinds[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+        if cells.all():
+            return Grid((cells == 2).reshape(len(rows), width))
+    # Some character is unknown: a non-ASCII one, or one the table marked 0.
+    for line, row in rows:
+        for ch in row:
+            if ch not in blocked_chars and ch not in passable_chars:
                 raise ParseError(f"line {line}: unknown terrain character {ch!r}")
-    return Grid(blocked)
 
 
 def parse_map(data: str | bytes) -> Grid:

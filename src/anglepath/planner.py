@@ -12,11 +12,12 @@ into LIAN.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
+from heapq import heappop, heappush
+from math import hypot
 
 from .geometry import (
     ANGLE_EPS_DEG,
@@ -41,6 +42,7 @@ MAX_LEVELS = 64
 # Search.expand's tie guard, as a share of a bound on a child's f: far above
 # the two ulps by which rounding can tie a larger g's f with a smaller one's.
 _TIE_SLACK = 2.0 ** -40
+_from_bytes = int.from_bytes
 
 
 class Verdict(str, Enum):
@@ -393,13 +395,16 @@ class Search:
         docstring), or from the ring's table when it has one: then no ray
         is walked. Otherwise sight_bits() walks only the rays of offsets
         the memo has no answer for yet, and the cell's memo entry keeps
-        them. Survivors whose
-        identity was already expanded are dropped; the rest are pushed as
-        lazy entries (see the class docstring). They differ in cell, so no
+        them. Keys, g and the ``_queued`` entry are looked at only once
+        the arc has visible targets or the goal is in reach. Survivors
+        whose identity was already expanded are dropped; the rest are
+        pushed as lazy entries (see the class docstring) as the scan finds
+        them, in offset order, the goal last. They differ in cell, so no
         two tie on (f, -g, key) and the order they are pushed in decides no
         pop. If nothing survives and the ladder has a next level, the node
         moves to it and the scan repeats there, counted as one more
-        expansion and one descent; at the last level it is discarded.
+        expansion and one descent; at the last level it is discarded. The
+        call adds its descents to the counters once, before it returns.
 
         A survivor is dominated, and not pushed, when the cell's entry in
         ``_queued`` for this level holds its offset and the node's g equals
@@ -419,24 +424,20 @@ class Search:
         parent = node.parent
         if parent is not None:
             hx, hy = col - parent.cell[0], row - parent.cell[1]
-        grid, closed, stats, goal = self.grid, self.closed, self.stats, self.goal
+        grid, goal, levels, stats = self.grid, self.goal, self.levels, self.stats
         gdc, gdr = goal[0] - col, goal[1] - row
-        dg = math.hypot(gdc, gdr)
-        base, ident = self._key_base, col * grid.height + row
+        dg = hypot(gdc, gdr)
         flat = row * grid.width + col
-        key0 = ident * base + ident + 1  # a child's key less its offset's shift
-        goal_shift = (gdc * grid.height + gdr) * base
-        g0, weight = node.g, self.cfg.weight
-        level, queued_levels = node.level, self._queued
+        level, descents = node.level, 0
         while True:
             radius, targets, count, full, memo, rays, table = (
                 self._rings[level] or self._ring(level))
-            survivors, dominated = [], 0
+            bits = 0
             if targets:
                 need = full if parent is None else arc_window(radius, hx, hy, self.cfg.alpha_max)
                 if table:
                     size = (count + 7) // 8
-                    bits = int.from_bytes(table[flat * size:flat * size + size], "little") & need
+                    bits = _from_bytes(table[flat * size:flat * size + size], "little") & need
                 else:
                     bits = memo.get(flat, 0)
                     missing = need & ~(bits >> count)
@@ -444,8 +445,20 @@ class Search:
                         bits |= missing << count | sight_bits(grid, cell, rays, missing)
                         memo[flat] = bits
                     bits &= need
+            reach = dg < levels[level] and (
+                parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold)
+            ) and line_of_sight(grid, cell, goal)
+            if bits or reach:
+                base, ident = self._key_base, col * grid.height + row
+                key0 = ident * base + ident + 1  # a child's key less its offset's shift
+                g0, weight, closed, open_ = node.g, self.cfg.weight, self.closed, self.open
+                child_level = level
+                if level > 0 and parent is not None and self._streak_reached(node):
+                    child_level -= 1
+                seq = seq0 = self._seq
+                dominated = 0
                 if bits:
-                    queued = queued_levels[level]
+                    queued = self._queued[level]
                     done = queued.get(flat)
                     # A child's step is below radius + 1, so its f is below
                     # g0 + radius + 1 + weight * (dg + radius + 1).
@@ -464,48 +477,45 @@ class Search:
                     while bits:
                         low = bits & -bits
                         bits ^= low
-                        target = targets[low.bit_length() - 1]
-                        if key0 + target[3] not in closed:
-                            survivors.append(target)
-                    if survivors:
+                        dc, dr, step, shift = targets[low.bit_length() - 1]
+                        if key0 + shift not in closed:
+                            seq += 1
+                            g = g0 + step
+                            heappush(open_, (g + weight * hypot(gdc - dc, gdr - dr), -g,
+                                             key0 + shift, seq, node, child_level))
+                    if seq != seq0:
                         queued[flat] = g0, mask
-            # A goal on the circle is a target, decided by the scan above.
-            if dg < self.levels[level]:
-                goal_step = (gdc, gdr, dg, goal_shift)
-                if ((parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold))
-                        and line_of_sight(grid, cell, goal) and key0 + goal_shift not in closed
-                        and goal_step not in targets):
-                    survivors.append(goal_step)
-            if survivors or dominated:
+                # A goal on the circle is a target, decided by the scan above.
+                if reach:
+                    shift = (gdc * grid.height + gdr) * base
+                    if key0 + shift not in closed and (gdc, gdr, dg, shift) not in targets:
+                        seq += 1
+                        g = g0 + dg
+                        heappush(open_, (g, -g, key0 + shift, seq, node, child_level))  # h is 0
+                if seq != seq0 or dominated:
+                    self._seq = seq
+                    stats.generated += seq - seq0 + dominated
+                    stats.dominated += dominated
+                    if len(open_) > stats.max_open:
+                        stats.max_open = len(open_)
+                    break
+            if level + 1 == len(levels):
                 break
-            if level + 1 == len(self.levels):
-                return
             level += 1
             node.level = level
-            stats.reinsertions += 1
-            stats.expansions += 1
+            descents += 1
             # Drop the stale copies tying the node's (f, -g, key), which would
             # pop before a re-queued node: max_open stays a re-queue's.
-            head = (node.f, -node.g, ident * base + (
-                0 if parent is None else parent.cell[0] * grid.height + parent.cell[1] + 1))
-            while self.open and self.open[0][:3] == head:
-                heapq.heappop(self.open)
-                stats.stale_pops += 1
-
-        child_level = level
-        if level > 0 and parent is not None and self._streak_reached(node):
-            child_level -= 1
-        push, open_, seq = heapq.heappush, self.open, self._seq
-        for dc, dr, step, shift in survivors:
-            seq += 1
-            g = g0 + step
-            push(open_, (g + weight * math.hypot(gdc - dc, gdr - dr), -g, key0 + shift, seq,
-                         node, child_level))
-        self._seq = seq
-        stats.generated += len(survivors) + dominated
-        stats.dominated += dominated
-        if len(open_) > stats.max_open:
-            stats.max_open = len(open_)
+            open_ = self.open
+            if open_ and open_[0][0] == node.f:
+                head = (node.f, -node.g, (col * grid.height + row) * self._key_base + (
+                    0 if parent is None else parent.cell[0] * grid.height + parent.cell[1] + 1))
+                while open_ and open_[0][:3] == head:
+                    heappop(open_)
+                    stats.stale_pops += 1
+        if descents:
+            stats.expansions += descents
+            stats.reinsertions += descents
 
     def run(self) -> Outcome:
         cfg = self.cfg
@@ -516,18 +526,20 @@ class Search:
         start, goal = self.start, self.goal
         goal_keys = (goal[0] * height + goal[1]) * base
         open_, closed, stats = self.open, self.closed, self.stats
-        heapq.heappush(open_, (cfg.weight * euclid(start, goal), -0.0,
-                               (start[0] * height + start[1]) * base, 0, None, 0))
+        heappush(open_, (cfg.weight * euclid(start, goal), -0.0,
+                         (start[0] * height + start[1]) * base, 0, None, 0))
         stats.max_open = max(stats.max_open, len(open_))
 
-        pop = heapq.heappop
+        # Bound once: spans.py and the tests wrap Search.expand before run.
+        expand, close, node_class = self.expand, closed.add, SearchNode
+        popped = 0  # entries expanded, added to stats.expansions at the end
         verdict = Verdict.NOT_FOUND
         path = None
         while open_:
             if perf() > deadline:
                 verdict = Verdict.TIMEOUT
                 break
-            f, neg_g, key, _, parent, level = pop(open_)
+            f, neg_g, key, _, parent, level = heappop(open_)
             if goal_keys <= key < goal_keys + base:
                 verdict = Verdict.FOUND
                 path = reconstruct_path(parent) + [goal]
@@ -537,10 +549,11 @@ class Search:
                 # another open-list entry; nothing new to generate.
                 stats.stale_pops += 1
                 continue
-            closed.add(key)
-            stats.expansions += 1
-            self.expand(SearchNode(divmod(key // base, height), parent, -neg_g, f, level))
+            close(key)
+            popped += 1
+            expand(node_class(divmod(key // base, height), parent, -neg_g, f, level))
 
+        stats.expansions += popped
         stats.runtime = perf() - t0
         return Outcome(verdict, path, stats)
 

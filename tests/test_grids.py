@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import mapgen
 from anglepath import (
     ParseError,
+    grids,
     load_map,
     load_scen,
     parse_ascii_map,
@@ -186,6 +188,56 @@ def test_parse_map_fuzz(data):
     except ParseError:
         return
     assert grid.width * grid.height <= len(data)
+
+
+def decode_rows_per_character(rows, width, blocked_chars, passable_chars):
+    # The decoder as it read each character in turn: the reference for its
+    # vectorized form, down to the text of every error.
+    for line, row in rows:
+        if len(row) != width:
+            raise ParseError(f"line {line}: row length {len(row)} != width {width}")
+    blocked = np.zeros((len(rows), width), dtype=bool)
+    for r, (line, row) in enumerate(rows):
+        for c, ch in enumerate(row):
+            if ch in blocked_chars:
+                blocked[r, c] = True
+            elif ch not in passable_chars:
+                raise ParseError(f"line {line}: unknown terrain character {ch!r}")
+    return blocked
+
+
+@st.composite
+def terrain_rows(draw):
+    # Mostly valid rows; some hold unknown ASCII or non-ASCII characters,
+    # some only one bad character, in the last row.
+    width = draw(st.integers(1, 9))
+    valid = st.sampled_from(".GS@OTW#")
+    char = st.one_of(valid, valid, valid, st.sampled_from("x \x00\x7f\u00e9\u00b2\u2028\U0001f600"))
+    texts = draw(st.lists(st.text(char, min_size=width, max_size=width), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        texts = ["".join(draw(valid) for _ in range(width)) for _ in texts]
+        at = draw(st.integers(0, width - 1))
+        bad = draw(st.sampled_from("x\u00e9\U0001f600"))
+        texts[-1] = texts[-1][:at] + bad + texts[-1][at + 1:]
+    if draw(st.integers(0, 9)) == 0:  # a row of the wrong length
+        texts[draw(st.integers(0, len(texts) - 1))] += "."
+    first = draw(st.integers(1, 50))
+    return [(first + 2 * i, text) for i, text in enumerate(texts)], width
+
+
+@settings(max_examples=400, deadline=None)
+@given(terrain_rows(), st.sampled_from([("@OTW", ".GS"), ("#", ".")]))
+def test_decode_rows_matches_per_character_decoder(drawn, chars):
+    rows, width = drawn
+    try:
+        expected = decode_rows_per_character(rows, width, *chars)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            grids._decode_rows(rows, width, *chars)
+        assert str(err.value) == str(exc)
+        return
+    grid = grids._decode_rows(rows, width, *chars)
+    assert np.array_equal(grid.blocked, expected)
 
 
 @settings(max_examples=400, deadline=None)

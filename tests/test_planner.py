@@ -3,6 +3,7 @@ import random
 import re
 import time
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -776,6 +777,92 @@ class TestRunLoop:
         [parent] = [node for node in expanded[1:]
                     if (node.cell, node.parent.cell) == (out.path[-2], out.path[-3])]
         assert reconstruct_path(parent) + [goal] == out.path
+
+
+def probe_expand(monkeypatch):
+    """Wrap Search.expand as perfbench's tracer does; return the call log.
+
+    Each call leaves (cell, entries pushed, generated, dominated, descents,
+    levels moved, stale pops, whether the node ended at the last level).
+    """
+    calls = []
+    original = Search.expand
+
+    def expand(search, node):
+        s = search.stats
+        before = (search._seq, s.generated, s.dominated, s.reinsertions, node.level,
+                  s.stale_pops)
+        original(search, node)
+        after = (search._seq, s.generated, s.dominated, s.reinsertions, node.level,
+                 s.stale_pops)
+        calls.append((node.cell, *(a - b for a, b in zip(after, before)),
+                      node.level == len(search.levels) - 1))
+
+    monkeypatch.setattr(Search, "expand", expand)
+    return calls
+
+
+class TestExpandTracerContract:
+    """perfbench/spans.py wraps Search.expand: it takes one call for each
+    popped expansion, ladder descents aside, and a dead end for a call that
+    leaves stats.generated as it was. Inlining expand into run would zero
+    both without failing anything else."""
+
+    def cases(self):
+        lian = PlannerConfig(mode="lian", delta_max=8, alpha_max=25, weight=2, time_cap=60)
+        elian = PlannerConfig(mode="elian", delta_max=8, delta_min=4, k=0.5, alpha_max=25,
+                              weight=2, time_cap=60)
+        for grid, start, goal in mapgen.corridor_suite():
+            yield grid, start, goal, lian
+            yield grid, start, goal, elian
+        blocked = mapgen.building_blocked(1)
+        [inst] = mapgen.hard_instances(blocked, "b1", 1, seed=3)
+        yield Grid(blocked), inst.start, inst.goal, elian_cfg(dmax=20, dmin=5)
+
+    def test_one_call_per_popped_expansion(self, monkeypatch):
+        calls = probe_expand(monkeypatch)
+        dead_ends = descended_and_pushed = 0
+        for grid, start, goal, cfg in self.cases():
+            del calls[:]
+            stats = search(grid, start, goal, cfg).stats
+            assert len(calls) == stats.expansions - stats.reinsertions
+            assert sum(c[4] for c in calls) == stats.reinsertions
+            for _, pushed, generated, dominated, descents, moved, _, at_last in calls:
+                assert descents == moved
+                assert generated == pushed + dominated
+                if generated == 0:
+                    # Nothing queued, nothing dominated: a dead end, which
+                    # descended to the last level and was discarded there.
+                    assert pushed == dominated == 0 and at_last
+                    dead_ends += 1
+                descended_and_pushed += descents > 0 and pushed > 0
+        assert dead_ends > 0 and descended_and_pushed > 0
+
+    @pytest.mark.parametrize("pops", [1, 9, 30])
+    def test_timeout_keeps_the_counts_of_work_done(self, monkeypatch, pops):
+        # A clock that ticks once per call: the deadline passes after
+        # `pops` entries were popped, in the middle of the search.
+        grid, start, goal = mapgen.corridor_suite()[11]
+
+        def cfg(time_cap):
+            return PlannerConfig(mode="elian", delta_max=8, delta_min=4, k=0.5, alpha_max=25,
+                                 weight=2, time_cap=time_cap)
+
+        calls = probe_expand(monkeypatch)
+        assert search(grid, start, goal, cfg(60)).verdict is Verdict.FOUND
+        uncapped = list(calls)
+        del calls[:]
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(planner, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        out = search(grid, start, goal, cfg(pops))
+        assert out.verdict is Verdict.TIMEOUT and out.path is None
+        assert calls == uncapped[:len(calls)] and len(calls) < len(uncapped)
+        descents = sum(c[4] for c in calls)
+        assert (out.stats.expansions, out.stats.reinsertions) == (len(calls) + descents, descents)
+        run_stale = out.stats.stale_pops - sum(c[6] for c in calls)
+        assert len(calls) + run_stale == pops
+        if pops > 1:
+            assert descents > 0
 
 
 class TestDominance:
