@@ -40,9 +40,9 @@ def _free_runs(blocked: np.ndarray) -> np.ndarray:
     at MAX_RUN.
     """
     width = blocked.shape[1]
-    cols = np.arange(width)
+    cols = np.arange(width, dtype=np.int32)
     # Column of the first blocked cell at or after each cell (width if none).
-    stops = np.where(blocked, cols, width)
+    stops = np.where(blocked, cols, np.int32(width))
     next_stop = np.minimum.accumulate(stops[:, ::-1], axis=1)[:, ::-1]
     return np.minimum(next_stop - cols, MAX_RUN).astype(np.uint8)
 
@@ -76,7 +76,7 @@ class Grid:
         self.height, self.width = blocked.shape
         self.blocked = blocked
         self.free_right = _free_runs(blocked).tobytes()
-        self.free_down = _free_runs(blocked.T).T.tobytes()
+        self.free_down = _free_runs(np.ascontiguousarray(blocked.T)).T.tobytes()
         self.circle_tables: dict[int, tuple] = {}
 
     def __reduce__(self):

@@ -104,12 +104,6 @@ class BatchResult:
     errors: list[str]
 
 
-# The grids of the batch being run, by map_id, so that a task names its map
-# instead of carrying a pickled Grid: each worker process fills it when it
-# starts, and run_batch fills it here when it runs the tasks itself.
-_grids: Mapping[str, Grid] = {}
-
-
 # The one grid whose sight tables this process keeps. Tasks reach a process
 # map by map, so it frees a map's tables when it moves on to another map or
 # batch; a stolen task on a map left before builds them again.
@@ -123,15 +117,7 @@ def _keep_tables(grid: Grid | None) -> None:
     _prepared = grid
 
 
-def _use_grids(grids: Mapping[str, Grid]) -> None:
-    global _grids
-    _grids = grids
-    _keep_tables(None)
-
-
-def _run_task(task: tuple[ScenarioSet, PlannerConfig]) -> tuple[list[RunRecord], list[str]]:
-    scen, cfg = task
-    grid = _grids[scen.map_id]
+def _run_task(grid: Grid, scen: ScenarioSet, cfg: PlannerConfig) -> tuple[list[RunRecord], list[str]]:
     _keep_tables(grid)
     prepare(grid, cfg)  # outside every search's runtime, as loading the map is
     records: list[RunRecord] = []
@@ -149,35 +135,6 @@ def _run_task(task: tuple[ScenarioSet, PlannerConfig]) -> tuple[list[RunRecord],
 _IN_FLIGHT = 2
 
 
-def _stretches(map_ids: Sequence[str], weights: Sequence[int], lanes: int) -> list[deque[int]]:
-    """The task indices each of ``lanes`` workers walks, front first.
-
-    The walk visits the maps in order of first appearance and each map's
-    tasks in task order; it is cut into ``lanes`` contiguous stretches of
-    near-equal total weight, at map boundaries when there are at least as
-    many maps as lanes. Needs 1 <= lanes <= len(map_ids).
-    """
-    first: dict[str, int] = {}
-    for map_id in map_ids:
-        first.setdefault(map_id, len(first))
-    walk = sorted(range(len(map_ids)), key=lambda i: first[map_ids[i]])
-    cum = [0]
-    for i in walk:
-        cum.append(cum[-1] + weights[i])
-    cuts = [p for p in range(1, len(walk)) if map_ids[walk[p]] != map_ids[walk[p - 1]]]
-    if len(cuts) < lanes - 1:
-        cuts = list(range(1, len(walk)))
-    bounds, k = [0], 0
-    for lane in range(1, lanes):
-        # Nearest to the lane's share, leaving a cut for each lane after it.
-        target = cum[-1] * lane / lanes
-        k = min(range(k, len(cuts) - lanes + lane + 1), key=lambda c: abs(cum[cuts[c]] - target))
-        bounds.append(cuts[k])
-        k += 1
-    bounds.append(len(walk))
-    return [deque(walk[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
 def _next_task(stretches: list[deque[int]], lane: int) -> int | None:
     # The front of the lane's own stretch, else the far end of the longest.
     if stretches[lane]:
@@ -191,11 +148,11 @@ def _lane(conn, parent_end, grids: Mapping[str, Grid], tasks) -> None:
     # (index, result, None) or (index, exception, its traceback), until
     # run_batch stops it.
     parent_end.close()  # so that the worker sees EOF if run_batch's process dies
-    _use_grids(grids)
     while True:
         index = conn.recv()
+        scen, cfg = tasks[index]
         try:
-            conn.send((index, _run_task(tasks[index]), None))
+            conn.send((index, _run_task(grids[scen.map_id], scen, cfg), None))
         except Exception as exc:
             conn.send((index, exc, traceback.format_exc()))
 
@@ -203,14 +160,14 @@ def _lane(conn, parent_end, grids: Mapping[str, Grid], tasks) -> None:
 def _run_lanes(tasks, grids: Mapping[str, Grid], lanes: int, emit) -> None:
     """Run the tasks on ``lanes`` worker processes, emitting results in order.
 
-    Each worker walks its own stretch (see _stretches), so each map's sight
-    memo is filled in one process, and then takes the far end of the
-    longest stretch left. When a task raises, only the tasks before it are
-    still run and emitted, and then its exception is raised; no worker
+    The task list is cut into ``lanes`` contiguous stretches of equal count.
+    Each worker takes its own stretch from the front, then the far end of
+    the longest stretch left. When a task raises, only the tasks before it
+    are still run and emitted, and then its exception is raised; no worker
     outlives the call.
     """
-    stretches = _stretches([scen.map_id for scen, _ in tasks],
-                           [len(scen.instances) for scen, _ in tasks], lanes)
+    n = len(tasks)
+    stretches = [deque(range(i * n // lanes, (i + 1) * n // lanes)) for i in range(lanes)]
     conns, procs = [], []
 
     def lost(lane: int) -> ChildProcessError:
@@ -277,21 +234,14 @@ def run_batch(
 
     Maps resolve from ``grids`` by map_id first, then from ``maps_dir`` (the
     map_id itself, then its basename), once per batch; a map that fails
-    gives one error and its sets are skipped. Records come back in
-    deterministic (scenario, config, instance) order regardless of the
-    parallelism degree, and reach ``record_sink`` in that order. A task is
-    one (scenario set, config) pair, and one function runs it against its
-    process's table of the batch's grids: this process's own at one worker,
-    else up to ``jobs`` worker processes (see _run_lanes), never more than
-    there are tasks, each of which receives the grids once, when it starts,
-    and fills its own circle tables. A task first has planner.prepare()
-    build the sight tables its config needs on its grid. A process keeps
-    the tables of the last map it ran a task on and no other, so it builds
-    them once per stretch of tasks on a map, and no grid holds any after
-    run_batch returns. This process's table holds one batch at a time and
-    is emptied when it returns. A task that raises anything but InputError
-    ends the batch with that exception, after the tasks before it have
-    reached the sink.
+    gives one error and its sets are skipped. A task is one (scenario set,
+    config) pair. Tasks run in this process at ``jobs=1``, else on up to
+    ``jobs`` worker processes, never more than there are tasks (see
+    _run_lanes). Records come back, and reach ``record_sink``, in
+    (scenario, config, instance) order whatever ``jobs`` is. A task that
+    raises anything but InputError ends the batch with that exception,
+    after the tasks before it have reached the sink. No grid holds sight
+    tables after run_batch returns.
     ``jobs < 1`` raises InputError, and so do two configs that would share a
     summary row (the same name at the same alpha_max) and an instance_id
     that appears twice, which aggregate() would count twice as run but once
@@ -350,12 +300,11 @@ def run_batch(
     if workers > 1:
         _run_lanes(tasks, resolved, workers, emit)
     else:
-        _use_grids(resolved)
         try:
-            for result in map(_run_task, tasks):
-                emit(result)
+            for scen, cfg in tasks:
+                emit(_run_task(resolved[scen.map_id], scen, cfg))
         finally:
-            _use_grids({})
+            _keep_tables(None)
     return BatchResult(records=records, errors=errors)
 
 

@@ -494,7 +494,7 @@ class TestInternalErrors:
         # no input error; a forked worker inherits the patch.
         from anglepath import harness
 
-        monkeypatch.setattr(harness, "_run_task", lambda task: os._exit(7))
+        monkeypatch.setattr(harness, "_run_task", lambda grid, scen, cfg: os._exit(7))
         code, err = self.bench(tmp_path, capsys, jobs)
         assert code == 4
         assert err == "internal error: ChildProcessError: a batch worker exited with code 7\n"

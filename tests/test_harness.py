@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import random
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -219,20 +220,25 @@ class TestRunBatch:
         assert 1 <= max(live) <= 2
 
     def test_no_grid_held_after_the_batch(self):
-        # Run in this process, tasks read the batch's grids from a module
-        # table, which must not keep them alive once run_batch returns or
-        # raises.
+        # Run in this process, tasks build sight tables on the batch's grid;
+        # neither the module nor the grid may keep them once run_batch
+        # returns or raises.
         from anglepath import harness
 
+        def no_tables():
+            rings = self.grid.circle_tables
+            return harness._prepared is None and rings and all(
+                ring[6] is None for ring in rings.values())
+
         run_batch(self.scens, self.configs, grids=self.grids, jobs=1)
-        assert harness._grids == {}
+        assert no_tables()
 
         def failing_sink(record):
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
             run_batch(self.scens, self.configs, grids=self.grids, record_sink=failing_sink)
-        assert harness._grids == {}
+        assert no_tables()
 
     def test_perfbench_tracer_sees_every_search(self, tmp_path):
         # perfbench/spans.py wraps module attributes of anglepath from
@@ -344,7 +350,7 @@ class TestRunBatch:
 
 
 class TestLanes:
-    """run_batch at jobs > 1: map-contiguous stretches, stealing, task order."""
+    """run_batch at jobs > 1: equal stretches, stealing, task order."""
 
     def setup_method(self):
         # Four sets on three maps, of 2, 1, 3 and 1 instances; map a's two
@@ -387,11 +393,10 @@ class TestLanes:
         serial = run_batch(self.scens, self.configs, grids=self.grids)
         run_task = harness._run_task
 
-        def failing(task):
-            scen, cfg = task
+        def failing(grid, scen, cfg):
             if scen.map_id == "c.map" and cfg == ELIAN84:
                 raise RuntimeError("task failed")
-            return run_task(task)
+            return run_task(grid, scen, cfg)
 
         monkeypatch.setattr(harness, "_run_task", failing)
         sunk = []
@@ -400,7 +405,7 @@ class TestLanes:
                       record_sink=sunk.append)
         assert multiprocessing.active_children() == []
         assert timeless(sunk) == timeless(serial.records[:9])
-        assert harness._grids == {}
+        assert harness._prepared is None
         if jobs > 1:  # the worker's traceback comes along
             assert "in failing" in str(raised.value.__cause__)
 
@@ -457,45 +462,39 @@ class TestLanes:
 
         run_task = harness._run_task
 
-        def dying(task):
-            if task[0].map_id == "b.map":
+        def dying(grid, scen, cfg):
+            if scen.map_id == "b.map":
                 os._exit(7)
-            return run_task(task)
+            return run_task(grid, scen, cfg)
 
         monkeypatch.setattr(harness, "_run_task", dying)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             run_batch(self.scens, self.configs, grids=self.grids, jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_stretches_keep_each_map_on_one_lane(self):
-        from anglepath.harness import _stretches
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_map_cut_between_lanes(self, jobs):
+        # Six tasks on one map: the equal split cuts the map between lanes
+        # (tasks 0-2 and 3-5 at jobs=2, 0-1, 2-3 and 4-5 at jobs=3).
+        import multiprocessing
 
-        rng = random.Random(5)
-        for _ in range(200):
-            maps = [f"m{i}" for i in range(rng.randint(1, 6))]
-            map_ids = [rng.choice(maps) for _ in range(rng.randint(1, 20))]
-            weights = [rng.randint(0, 5) for _ in map_ids]
-            for lanes in range(1, len(map_ids) + 1):
-                stretches = _stretches(map_ids, weights, lanes)
-                assert len(stretches) == lanes and all(stretches)
-                walk = [i for stretch in stretches for i in stretch]
-                # One walk, map by map in order of first appearance, each
-                # map's tasks in task order, cut into contiguous stretches.
-                firsts = list(dict.fromkeys(map_ids))
-                assert walk == sorted(range(len(map_ids)),
-                                      key=lambda i: firsts.index(map_ids[i]))
-                if len(firsts) >= lanes:
-                    for map_id in firsts:
-                        holders = [s for s in stretches if map_id in {map_ids[i] for i in s}]
-                        assert len(holders) == 1, (map_ids, lanes, stretches)
+        self.scens = [
+            tiny_scen("a.map", [((1, 1), (30, 1)), ((1, 2), (30, 30))]),
+            tiny_scen("a.map", [((2, 2), (30, 20))]),
+            tiny_scen("a.map", [((1, 1), (20, 30)), ((3, 3), (35, 5))]),
+        ]
+        serial, serial_sunk = self.batch(1)
+        assert len(serial.records) == 10
+        result, sunk = self.batch(jobs)
+        assert timeless(result.records) == timeless(serial.records)
+        assert timeless(sunk) == timeless(serial_sunk) == timeless(serial.records)
+        assert result.errors == serial.errors
+        assert multiprocessing.active_children() == []
 
-    def test_cuts_balance_weight_and_thieves_take_the_far_end(self):
-        from anglepath.harness import _next_task, _stretches
+    def test_thieves_take_the_far_end(self):
+        from anglepath.harness import _next_task
 
-        map_ids = ["a", "a", "b", "c", "c", "c", "b", "d"]
-        # Walk a a b b c c c d, cut at the map boundaries nearest to thirds.
-        stretches = _stretches(map_ids, [1] * 8, 3)
-        assert [list(s) for s in stretches] == [[0, 1], [2, 6], [3, 4, 5, 7]]
+        stretches = [deque([0, 1]), deque([2, 6]), deque([3, 4, 5, 7])]
         # Lane 0 walks its own stretch from the front, then steals from the
         # far end of the longest stretch left, the first of equals on a tie.
         taken = [_next_task(stretches, 0) for _ in range(6)]
@@ -503,8 +502,7 @@ class TestLanes:
         assert _next_task(stretches, 1) == 2
         assert _next_task(stretches, 2) == 3
         assert _next_task(stretches, 1) is None
-        # Fewer maps than lanes: the cut falls inside a map, by weight.
-        assert [list(s) for s in _stretches(["a"] * 4, [3, 1, 1, 1], 2)] == [[0], [1, 2, 3]]
+
 
 def fake_record(iid, algo, alpha, verdict, runtime=0.01, length=None, angle=None):
     found = verdict is Verdict.FOUND
