@@ -131,19 +131,22 @@ def _cmd_bench(args) -> int:
         maps_dir = scen_paths[0].parent
 
     records_path = Path(f"{args.out}.records.jsonl")
-    fresh = True
+    records_file = None
 
     def record_sink(record) -> None:
         # An old records file is replaced only once there is a record to write.
-        nonlocal fresh
-        if fresh:
-            records_path.write_text("", encoding="utf-8")
-            fresh = False
-        write_records([record], records_path)
+        nonlocal records_file
+        if records_file is None:
+            records_file = open(records_path, "w", encoding="utf-8")
+        write_records([record], records_file)
 
-    result = run_batch(
-        scenarios, configs, maps_dir=maps_dir, jobs=args.jobs, record_sink=record_sink
-    )
+    try:
+        result = run_batch(
+            scenarios, configs, maps_dir=maps_dir, jobs=args.jobs, record_sink=record_sink
+        )
+    finally:
+        if records_file is not None:
+            records_file.close()
     for err in result.errors:
         print(f"warning: {err}", file=sys.stderr)
     if not result.records:

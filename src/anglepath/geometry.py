@@ -16,7 +16,9 @@ line_of_sight() asks it for a single ray. sight_table() runs the same test
 from every cell of the grid at once, a bit per cell, and keeps a row of
 answers per cell. Everything here is a pure function of its arguments; the
 caches are lru_caches keyed by them, and the planner keeps its own per-grid
-rings of circle rays.
+rings of circle rays. The one exception is arc_windows(): it hands out one
+mutable map per (radius, alpha_max), which the planner fills with
+arc_window() answers.
 """
 
 from __future__ import annotations
@@ -163,6 +165,16 @@ def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
         if passed >> t & 1:
             bits |= 1 << j
     return bits
+
+
+@lru_cache(maxsize=None)
+def arc_windows(radius: int, alpha_max: float) -> dict[Offset, int]:
+    """The map (hx, hy) -> arc_window(radius, hx, hy, alpha_max), one per
+    pair of arguments and shared by every caller in the process.
+
+    It starts empty; a caller that misses stores arc_window()'s answer.
+    """
+    return {}
 
 
 # A ray is the segment from (0,0) to (dcol,drow) laid out for one grid

@@ -444,11 +444,16 @@ def emit_report(report: AggregateReport, fmt: str = "csv") -> str:
     raise InputError(f"unknown report format {fmt!r}")
 
 
-def write_records(records: Iterable[RunRecord], path: str | Path) -> None:
-    """Append records as one JSON object per line (crash-safe streaming)."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict()) + "\n")
+def write_records(records: Iterable[RunRecord], out: str | Path | io.TextIOBase) -> None:
+    """Append records as one JSON object per line (crash-safe streaming) to
+    the file at a path, or to an open text file, which is then flushed."""
+    if isinstance(out, (str, Path)):
+        with open(out, "a", encoding="utf-8") as fh:
+            write_records(records, fh)
+        return
+    for record in records:
+        out.write(json.dumps(record.to_dict()) + "\n")
+    out.flush()
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

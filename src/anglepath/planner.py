@@ -22,6 +22,7 @@ from math import hypot
 from .geometry import (
     ANGLE_EPS_DEG,
     arc_window,
+    arc_windows,
     circle_offsets,
     euclid,
     line_of_sight,
@@ -339,6 +340,11 @@ class Search:
     expansions then read a cell's row of the table, and the memo stays
     empty. A circle of radius >= 2 * max(width, height) lies farther out
     than any two cells are apart: its ring has no offsets and no table.
+    Beside each level's ring, ``_arcs`` holds geometry.arc_windows() of
+    its radius and alpha_max, the heading -> arc window map shared by
+    every search in the process; expand() reads windows from it and
+    stores arc_window()'s answer on a miss. Headings are ring offsets, so
+    it holds no more than arc_window()'s own cache.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -363,25 +369,17 @@ class Search:
         self._cos_threshold = turn_cos_threshold(cfg.alpha_max)
         # Per ladder level, filled on its first expansion by _ring().
         self._rings: list = [None] * len(self.levels)
+        self._arcs: list = [None] * len(self.levels)  # their arc_windows() maps
         # Per ladder level: a cell's flat index -> (g, offsets queued), see expand().
         self._queued: list = [{} for _ in self.levels]
 
     def _ring(self, level: int) -> tuple:
         # A ladder level's ring, built on the grid by the first search or
-        # prepare() call that reaches its radius.
+        # prepare() call that reaches its radius, and its arc_windows() map.
         radius = max(1, round(self.levels[level]))
+        self._arcs[level] = arc_windows(radius, self.cfg.alpha_max)
         ring = self._rings[level] = _circle_ring(self.grid, radius, False)
         return ring
-
-    def _streak_reached(self, node: SearchNode) -> bool:
-        # True when success_streak nodes ending at `node` share its level.
-        current = node
-        for _ in range(self.cfg.success_streak - 1):
-            parent = current.parent
-            if parent is None or parent.level != node.level:
-                return False
-            current = parent
-        return True
 
     def expand(self, node: SearchNode) -> None:
         """Generate successors of an expanded node, descending the ladder.
@@ -390,14 +388,16 @@ class Search:
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
         plus the goal when it is closer than delta and within the turn
-        limit. Bounds and line of sight for the offsets in the arc_window()
-        of the node's heading come, as bits, from the memo (see the class
-        docstring), or from the ring's table when it has one: then no ray
-        is walked. Otherwise sight_bits() walks only the rays of offsets
-        the memo has no answer for yet, and the cell's memo entry keeps
-        them. Keys, g and the ``_queued`` entry are looked at only once
-        the arc has visible targets or the goal is in reach. Survivors
-        whose identity was already expanded are dropped; the rest are
+        limit. The heading's window is read from the level's shared
+        arc_windows() map, or on a miss computed by arc_window() and stored
+        there. Bounds and line of sight for the offsets in that window
+        come, as bits, from the memo (see the class docstring), or from the
+        ring's table when it has one: then no ray is walked. Otherwise
+        sight_bits() walks only the rays of offsets the memo has no answer
+        for yet, and the cell's memo entry keeps them. Keys, g and the
+        ``_queued`` entry are looked at only once the arc has visible
+        targets or the goal is in reach. Survivors whose identity was
+        already expanded are dropped; the rest are
         pushed as lazy entries (see the class docstring) as the scan finds
         them, in offset order, the goal last. They differ in cell, so no
         two tie on (f, -g, key) and the order they are pushed in decides no
@@ -423,7 +423,7 @@ class Search:
         col, row = cell
         parent = node.parent
         if parent is not None:
-            hx, hy = col - parent.cell[0], row - parent.cell[1]
+            heading = hx, hy = col - parent.cell[0], row - parent.cell[1]
         grid, goal, levels, stats = self.grid, self.goal, self.levels, self.stats
         gdc, gdr = goal[0] - col, goal[1] - row
         dg = hypot(gdc, gdr)
@@ -434,7 +434,13 @@ class Search:
                 self._rings[level] or self._ring(level))
             bits = 0
             if targets:
-                need = full if parent is None else arc_window(radius, hx, hy, self.cfg.alpha_max)
+                if parent is None:
+                    need = full
+                else:
+                    arcs = self._arcs[level]
+                    need = arcs.get(heading)
+                    if need is None:
+                        need = arcs[heading] = arc_window(radius, hx, hy, self.cfg.alpha_max)
                 if table:
                     size = (count + 7) // 8
                     bits = _from_bytes(table[flat * size:flat * size + size], "little") & need
@@ -453,8 +459,16 @@ class Search:
                 key0 = ident * base + ident + 1  # a child's key less its offset's shift
                 g0, weight, closed, open_ = node.g, self.cfg.weight, self.closed, self.open
                 child_level = level
-                if level > 0 and parent is not None and self._streak_reached(node):
-                    child_level -= 1
+                if level > 0 and parent is not None:
+                    # Children move up a level once success_streak nodes
+                    # ending at this one share its level.
+                    ancestor = node
+                    for _ in range(self.cfg.success_streak - 1):
+                        ancestor = ancestor.parent
+                        if ancestor is None or ancestor.level != level:
+                            break
+                    else:
+                        child_level -= 1
                 seq = seq0 = self._seq
                 dominated = 0
                 if bits:
@@ -524,14 +538,14 @@ class Search:
         deadline = t0 + cfg.time_cap
         height, base = self.grid.height, self._key_base
         start, goal = self.start, self.goal
-        goal_keys = (goal[0] * height + goal[1]) * base
+        goal_ident = goal[0] * height + goal[1]
         open_, closed, stats = self.open, self.closed, self.stats
         heappush(open_, (cfg.weight * euclid(start, goal), -0.0,
                          (start[0] * height + start[1]) * base, 0, None, 0))
         stats.max_open = max(stats.max_open, len(open_))
 
         # Bound once: spans.py and the tests wrap Search.expand before run.
-        expand, close, node_class = self.expand, closed.add, SearchNode
+        expand, close, new_node = self.expand, closed.add, SearchNode.__new__
         popped = 0  # entries expanded, added to stats.expansions at the end
         verdict = Verdict.NOT_FOUND
         path = None
@@ -540,7 +554,8 @@ class Search:
                 verdict = Verdict.TIMEOUT
                 break
             f, neg_g, key, _, parent, level = heappop(open_)
-            if goal_keys <= key < goal_keys + base:
+            ident = key // base
+            if ident == goal_ident:
                 verdict = Verdict.FOUND
                 path = reconstruct_path(parent) + [goal]
                 break
@@ -551,7 +566,14 @@ class Search:
                 continue
             close(key)
             popped += 1
-            expand(node_class(divmod(key // base, height), parent, -neg_g, f, level))
+            # SearchNode(...) without the __init__ frame.
+            node = new_node(SearchNode)
+            node.cell = divmod(ident, height)
+            node.parent = parent
+            node.g = -neg_g
+            node.f = f
+            node.level = level
+            expand(node)
 
         stats.expansions += popped
         stats.runtime = perf() - t0

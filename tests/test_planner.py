@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -27,10 +28,11 @@ from anglepath import (
     validate_path,
 )
 from anglepath.geometry import circle_offsets, turn_cos_threshold
-from anglepath import planner
+from anglepath import geometry, planner
 from anglepath.planner import MAX_LEVELS, prepare, release
 from oracles import (
     admitted_successors,
+    arc_window_scan,
     delta_successors,
     empty_grid,
     expansion_bound,
@@ -784,11 +786,24 @@ def probe_expand(monkeypatch):
 
     Each call leaves (cell, entries pushed, generated, dominated, descents,
     levels moved, stale pops, whether the node ended at the last level).
+    Each node that run hands to expand must be a SearchNode built from the
+    entry run popped last; expand's own pops, of stale entries, come later.
     """
     calls = []
     original = Search.expand
+    popped = []
+    real_heappop = planner.heappop
+
+    def heappop(heap):
+        popped.append(real_heappop(heap))
+        return popped[-1]
 
     def expand(search, node):
+        f, neg_g, key, _, parent, level = popped[-1]
+        assert type(node) is SearchNode
+        assert node.cell == divmod(key // search._key_base, search.grid.height)
+        assert node.parent is parent
+        assert (node.g, node.f, node.level) == (-neg_g, f, level)
         s = search.stats
         before = (search._seq, s.generated, s.dominated, s.reinsertions, node.level,
                   s.stale_pops)
@@ -799,6 +814,7 @@ def probe_expand(monkeypatch):
                       node.level == len(search.levels) - 1))
 
     monkeypatch.setattr(Search, "expand", expand)
+    monkeypatch.setattr(planner, "heappop", heappop)
     return calls
 
 
@@ -863,6 +879,40 @@ class TestExpandTracerContract:
         assert len(calls) + run_stale == pops
         if pops > 1:
             assert descents > 0
+
+    @pytest.mark.parametrize("alpha_max", [20, 25, 30])
+    def test_arc_maps_hold_arc_windows_of_ring_headings(self, alpha_max):
+        # Every heading a search stores in the shared arc_windows() maps is
+        # the offset of a ring of its ladder, and maps to its window.
+        filled = 0
+        for grid, start, goal, cfg in self.cases():
+            cfg = dataclasses.replace(cfg, alpha_max=alpha_max)
+            geometry.arc_windows.cache_clear()
+            search(grid, start, goal, cfg)
+            radii = {max(1, round(delta)) for delta in delta_levels(cfg)}
+            offsets = {offset for radius in radii for offset in circle_offsets(radius)}
+            for radius in radii:
+                arcs = geometry.arc_windows(radius, alpha_max)
+                assert set(arcs) <= offsets
+                for (hx, hy), bits in arcs.items():
+                    assert bits == arc_window_scan(radius, hx, hy, alpha_max)
+                filled += len(arcs)
+        assert filled > 0
+
+    def test_configs_sharing_a_radius_keep_their_own_windows(self, monkeypatch):
+        # Two turn limits at one radius, run one after the other on one
+        # grid, give what each gives on a fresh grid with an arc map of
+        # its own.
+        grid, start, goal = mapgen.corridor_suite()[11]
+        configs = [PlannerConfig(mode="elian", delta_max=8, delta_min=4, k=0.5, alpha_max=alpha,
+                                 weight=2, time_cap=60) for alpha in (20, 30)]
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "arc_windows", lambda radius, alpha_max: {})
+            fresh = [essence(search(Grid(grid.blocked), start, goal, cfg)) for cfg in configs]
+        assert fresh[0] != fresh[1]
+        geometry.arc_windows.cache_clear()
+        for _ in range(2):  # the second time on warm maps
+            assert [essence(search(grid, start, goal, cfg)) for cfg in configs] == fresh
 
 
 class TestDominance:
