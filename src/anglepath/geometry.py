@@ -173,6 +173,9 @@ def arc_windows(radius: int, alpha_max: float) -> dict[Offset, int]:
     pair of arguments and shared by every caller in the process.
 
     It starts empty; a caller that misses stores arc_window()'s answer.
+    The planner probes only these maps, so arc_window()'s own lru_cache
+    scores no hits in the package; it stays for the tests that call
+    arc_window.__wrapped__.
     """
     return {}
 

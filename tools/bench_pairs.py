@@ -12,14 +12,16 @@ parent is ``--parent-rev`` (default HEAD), exported by ``git archive`` into
 a temporary directory, which leaves the repository's own state alone; the
 change is this checkout, uncommitted edits included.
 
-A run whose last line says ``correct: false``, or whose records digest
-differs from the other side's at the same seed, stops the tool with exit 1.
+A run whose last line says ``correct: false``, whose records digest
+differs from the other side's at the same seed, or whose ``src/anglepath``
+digest (perfbench's ``src_sha256``) equals the other side's, stops the tool
+with exit 1: the last means both sides run the same code, as they do when
+the change is committed and ``--parent-rev`` is left at HEAD.
 The output file holds, per workload, each run's end-to-end metrics (as
 BENCHMARK.json lists them) and, per metric, the median and quartiles
 (inclusive method) of each side, the relative change of the medians and
-the pairs the change won and lost; it is written again after each
-workload. ``--merge`` keeps the workloads of an existing output file that
-this call does not run; with it, no spec need be given. ``--claim
+the pairs the change won and lost, and each side's source digest; it is
+written again after each workload. ``--claim
 WORKLOAD:METRIC`` adds whether that metric's gain holds: the change won at
 least nine tenths of the pairs and its median is better than the
 parent's by more than the parent's interquartile range. Standard library
@@ -55,16 +57,12 @@ def _spec(text: str) -> tuple[str, int, int]:
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("specs", nargs="*", type=_spec, metavar="WORKLOAD:FIRST_SEED:PAIRS")
+    parser.add_argument("specs", nargs="+", type=_spec, metavar="WORKLOAD:FIRST_SEED:PAIRS")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--title", default="", help="what the change does, for the output")
     parser.add_argument("--parent-rev", default="HEAD")
-    parser.add_argument("--merge", action="store_true")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    args = parser.parse_args(argv)
-    if not (args.specs or args.merge):
-        parser.error("give a WORKLOAD:FIRST_SEED:PAIRS spec, or --merge")
-    return args
+    return parser.parse_args(argv)
 
 
 def export(rev: str, into: Path) -> str:
@@ -152,9 +150,12 @@ def bench_workload(checkouts: dict[str, Path], metrics: list[dict], workload: st
         first_side.append(order[0])
         for side in order:
             results[side].append(run_once(checkouts[side], workload, seed, seconds))
-        digests = {side: results[side][-1]["environment"]["records_sha256"] for side in SIDES}
-        if digests["parent"] != digests["change"]:
-            raise SystemExit(f"{workload} seed {seed}: records differ: {digests}")
+        envs = {side: results[side][-1]["environment"] for side in SIDES}
+        if envs["parent"]["src_sha256"] == envs["change"]["src_sha256"]:
+            raise SystemExit(f"{workload} seed {seed}: both sides run the same src/anglepath"
+                             f" ({envs['change']['src_sha256']}); is --parent-rev the change?")
+        if envs["parent"]["records_sha256"] != envs["change"]["records_sha256"]:
+            raise SystemExit(f"{workload} seed {seed}: records differ")
         print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} {results[side][-1]['metrics']['searches_per_s']['value']:.2f}/s"
             for side in SIDES), file=sys.stderr, flush=True)
@@ -167,6 +168,8 @@ def bench_workload(checkouts: dict[str, Path], metrics: list[dict], workload: st
             "correct": True,
             "failed": sum(r["failed"] for side in SIDES for r in results[side]),
             "records_equal": True,
+            **{f"src_sha256_{side}": results[side][-1]["environment"]["src_sha256"]
+               for side in SIDES},
             **{f"attempted_{side}": [r["attempted"] for r in results[side]] for side in SIDES},
         },
         "metrics": compare(metrics, results),
@@ -184,27 +187,25 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-    doc = json.loads(args.out.read_text()) if args.merge and args.out.exists() else {}
-    workloads = doc.setdefault("workloads", {})
+    doc: dict = {"workloads": {}}
     if args.title:
         doc["change"] = args.title
-    if args.specs:
-        with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
-            doc["parent_commit"] = export(args.parent_rev, Path(parent))
-            doc["protocol"] = (
-                f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
-                " --trace 0, run from a checkout of the parent and of the change by"
-                " tools/bench_pairs.py; pairs alternate which side runs first (parent first"
-                " on even pairs); median and quartiles (inclusive method) over the runs of"
-                " each side; pairs_won counts pairs where the change reads better,"
-                " pairs_lost where it reads worse")
-            for workload, first_seed, pairs in args.specs:
-                workloads[workload], env = bench_workload(
-                    {"parent": Path(parent), "change": ROOT}, metrics, workload, first_seed,
-                    pairs, seconds)
-                doc["environment"] = {key: env.get(key)
-                                      for key in ("python", "numpy", "nproc", "cpu")}
-                save(doc, args.out)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+        doc["parent_commit"] = export(args.parent_rev, Path(parent))
+        doc["protocol"] = (
+            f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
+            " --trace 0, run from a checkout of the parent and of the change by"
+            " tools/bench_pairs.py; pairs alternate which side runs first (parent first"
+            " on even pairs); median and quartiles (inclusive method) over the runs of"
+            " each side; pairs_won counts pairs where the change reads better,"
+            " pairs_lost where it reads worse")
+        for workload, first_seed, pairs in args.specs:
+            doc["workloads"][workload], env = bench_workload(
+                {"parent": Path(parent), "change": ROOT}, metrics, workload, first_seed,
+                pairs, seconds)
+            doc["environment"] = {key: env.get(key)
+                                  for key in ("python", "numpy", "nproc", "cpu")}
+            save(doc, args.out)
     if args.claim:
         doc["claim"] = judge(doc, args.claim)
         save(doc, args.out)
