@@ -18,7 +18,7 @@ answers per cell. Everything here is a pure function of its arguments; the
 caches are lru_caches keyed by them, and the planner keeps its own per-grid
 rings of circle rays. The one exception is arc_windows(): it hands out one
 mutable map per (radius, alpha_max), which the planner fills with
-arc_window() answers.
+arc_window() answers; it is the only cache of arc windows.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ def _by_angle(offsets: tuple[Offset, ...]) -> tuple[list[float], list[int], list
     return angles, order, prefix
 
 
-@lru_cache(maxsize=None)
 def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
     """The circle offsets a move with heading (hx, hy) may turn to, as bits.
 
@@ -172,10 +171,9 @@ def arc_windows(radius: int, alpha_max: float) -> dict[Offset, int]:
     """The map (hx, hy) -> arc_window(radius, hx, hy, alpha_max), one per
     pair of arguments and shared by every caller in the process.
 
-    It starts empty; a caller that misses stores arc_window()'s answer.
-    The planner probes only these maps, so arc_window()'s own lru_cache
-    scores no hits in the package; it stays for the tests that call
-    arc_window.__wrapped__.
+    It starts empty; a caller that misses stores arc_window()'s answer,
+    which it computes afresh on every call. After arc_windows.cache_clear(),
+    calls hand out new empty maps.
     """
     return {}
 

@@ -340,11 +340,18 @@ class Search:
     expansions then read a cell's row of the table, and the memo stays
     empty. A circle of radius >= 2 * max(width, height) lies farther out
     than any two cells are apart: its ring has no offsets and no table.
-    Beside each level's ring, ``_arcs`` holds geometry.arc_windows() of
-    its radius and alpha_max, the heading -> arc window map shared by
-    every search in the process; expand() reads windows from it and
-    stores arc_window()'s answer on a miss. Headings are ring offsets, so
-    it holds no more than arc_window()'s own cache.
+
+    Per ladder level, ``_rings`` keeps the grid's ring and ``_visits`` the
+    record a level visit of expand() reads, both built by _ring() on the
+    level's first expansion: ``(steps, n, memo, table, row size,
+    arc_windows, delta, radius)``. The row size is a table row's bytes,
+    ``(n + 7) // 8``, and arc_windows is geometry.arc_windows() of the
+    radius and alpha_max, the heading -> arc window map shared by every
+    search in the process; expand() reads windows from it and stores
+    arc_window()'s answer on a miss. ``_consts`` holds what every expand()
+    call reads and no search changes: ``(grid, goal, ladder length, stats,
+    width, height, key base, weight, closed, open)``, the last two the
+    very objects of ``closed`` and ``open``.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -367,23 +374,35 @@ class Search:
         self._seq = 0
         self._key_base = grid.width * grid.height + 1
         self._cos_threshold = turn_cos_threshold(cfg.alpha_max)
-        # Per ladder level, filled on its first expansion by _ring().
+        # What expand() reads on every call, unpacked there at once.
+        self._consts = (grid, goal, len(self.levels), self.stats, grid.width, grid.height,
+                        self._key_base, cfg.weight, self.closed, self.open)
+        # Per ladder level, filled on its first expansion by _ring(): the
+        # grid's ring, and the record a level visit reads.
         self._rings: list = [None] * len(self.levels)
-        self._arcs: list = [None] * len(self.levels)  # their arc_windows() maps
+        self._visits: list = [None] * len(self.levels)
         # Per ladder level: a cell's flat index -> (g, offsets queued), see expand().
         self._queued: list = [{} for _ in self.levels]
 
     def _ring(self, level: int) -> tuple:
-        # A ladder level's ring, built on the grid by the first search or
-        # prepare() call that reaches its radius, and its arc_windows() map.
-        radius = max(1, round(self.levels[level]))
-        self._arcs[level] = arc_windows(radius, self.cfg.alpha_max)
-        ring = self._rings[level] = _circle_ring(self.grid, radius, False)
-        return ring
+        # A ladder level's visit record (see the class docstring) over its
+        # ring, built on the grid by the first search or prepare() call that
+        # reaches its radius.
+        delta = self.levels[level]
+        radius = max(1, round(delta))
+        _, steps, count, _, memo, _, table = self._rings[level] = _circle_ring(
+            self.grid, radius, False)
+        visit = self._visits[level] = (steps, count, memo, table, (count + 7) // 8,
+                                       arc_windows(radius, self.cfg.alpha_max), delta, radius)
+        return visit
 
     def expand(self, node: SearchNode) -> None:
         """Generate successors of an expanded node, descending the ladder.
 
+        The call unpacks ``_consts`` once, and each level visit unpacks the
+        level's record in ``_visits`` (see the class docstring); the ring's
+        rays, its full mask and the ``_queued`` map are read only by a memo
+        miss, the start node and a visit that generates children.
         Candidates are the in-bounds cells of the discrete circle at the
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
@@ -397,14 +416,18 @@ class Search:
         for yet, and the cell's memo entry keeps them. Keys, g and the
         ``_queued`` entry are looked at only once the arc has visible
         targets or the goal is in reach. Survivors whose identity was
-        already expanded are dropped; the rest are
-        pushed as lazy entries (see the class docstring) as the scan finds
-        them, in offset order, the goal last. They differ in cell, so no
-        two tie on (f, -g, key) and the order they are pushed in decides no
-        pop. If nothing survives and the ladder has a next level, the node
-        moves to it and the scan repeats there, counted as one more
-        expansion and one descent; at the last level it is discarded. The
-        call adds its descents to the counters once, before it returns.
+        already expanded are dropped; the rest are pushed as lazy entries
+        (see the class docstring) as the scan finds them, in offset order,
+        the goal last. An entry's -g is ``-node.g - step`` and its f is
+        ``weight * h - (-g)``: bit for bit the ``-(g + step)`` and ``g +
+        weight * h`` of the definition, as negation is exact and rounding
+        is symmetric in sign, with one float fewer per push. They differ
+        in cell, so no two tie on (f, -g, key) and the order they are
+        pushed in decides no pop. If nothing survives and the ladder has a
+        next level, the node moves to it and the scan repeats there,
+        counted as one more expansion and one descent; at the last level it
+        is discarded. The call adds its descents to the counters once,
+        before it returns.
 
         A survivor is dominated, and not pushed, when the cell's entry in
         ``_queued`` for this level holds its offset and the node's g equals
@@ -419,45 +442,46 @@ class Search:
         those targets, plus the old offsets when they dominated; until
         then it stays as it was.
         """
+        grid, goal, depth, stats, width, height, base, weight, closed, open_ = self._consts
         cell = node.cell
         col, row = cell
         parent = node.parent
         if parent is not None:
             heading = hx, hy = col - parent.cell[0], row - parent.cell[1]
-        grid, goal, levels, stats = self.grid, self.goal, self.levels, self.stats
         gdc, gdr = goal[0] - col, goal[1] - row
         dg = hypot(gdc, gdr)
-        flat = row * grid.width + col
+        flat = row * width + col
+        visits = self._visits
         level, descents = node.level, 0
         while True:
-            radius, targets, count, full, memo, rays, table = (
-                self._rings[level] or self._ring(level))
+            targets, count, memo, table, size, arcs, delta, radius = (
+                visits[level] or self._ring(level))
             bits = 0
             if targets:
                 if parent is None:
-                    need = full
+                    need = self._rings[level][3]
                 else:
-                    arcs = self._arcs[level]
                     need = arcs.get(heading)
                     if need is None:
                         need = arcs[heading] = arc_window(radius, hx, hy, self.cfg.alpha_max)
                 if table:
-                    size = (count + 7) // 8
                     bits = _from_bytes(table[flat * size:flat * size + size], "little") & need
                 else:
                     bits = memo.get(flat, 0)
                     missing = need & ~(bits >> count)
                     if missing:
-                        bits |= missing << count | sight_bits(grid, cell, rays, missing)
+                        bits |= missing << count | sight_bits(
+                            grid, cell, self._rings[level][5], missing)
                         memo[flat] = bits
                     bits &= need
-            reach = dg < levels[level] and (
+            reach = dg < delta and (
                 parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold)
             ) and line_of_sight(grid, cell, goal)
             if bits or reach:
-                base, ident = self._key_base, col * grid.height + row
+                ident = col * height + row
                 key0 = ident * base + ident + 1  # a child's key less its offset's shift
-                g0, weight, closed, open_ = node.g, self.cfg.weight, self.closed, self.open
+                g0 = node.g
+                ng0 = -g0  # a child's -g is ng0 - step (see above)
                 child_level = level
                 if level > 0 and parent is not None:
                     # Children move up a level once success_streak nodes
@@ -492,20 +516,22 @@ class Search:
                         low = bits & -bits
                         bits ^= low
                         dc, dr, step, shift = targets[low.bit_length() - 1]
-                        if key0 + shift not in closed:
+                        key = key0 + shift
+                        if key not in closed:
                             seq += 1
-                            g = g0 + step
-                            heappush(open_, (g + weight * hypot(gdc - dc, gdr - dr), -g,
-                                             key0 + shift, seq, node, child_level))
+                            ng = ng0 - step
+                            heappush(open_, (weight * hypot(gdc - dc, gdr - dr) - ng, ng, key,
+                                             seq, node, child_level))
                     if seq != seq0:
                         queued[flat] = g0, mask
                 # A goal on the circle is a target, decided by the scan above.
                 if reach:
-                    shift = (gdc * grid.height + gdr) * base
-                    if key0 + shift not in closed and (gdc, gdr, dg, shift) not in targets:
+                    shift = (gdc * height + gdr) * base
+                    key = key0 + shift
+                    if key not in closed and (gdc, gdr, dg, shift) not in targets:
                         seq += 1
-                        g = g0 + dg
-                        heappush(open_, (g, -g, key0 + shift, seq, node, child_level))  # h is 0
+                        ng = ng0 - dg
+                        heappush(open_, (-ng, ng, key, seq, node, child_level))  # h is 0
                 if seq != seq0 or dominated:
                     self._seq = seq
                     stats.generated += seq - seq0 + dominated
@@ -513,17 +539,16 @@ class Search:
                     if len(open_) > stats.max_open:
                         stats.max_open = len(open_)
                     break
-            if level + 1 == len(levels):
+            if level + 1 == depth:
                 break
             level += 1
             node.level = level
             descents += 1
             # Drop the stale copies tying the node's (f, -g, key), which would
             # pop before a re-queued node: max_open stays a re-queue's.
-            open_ = self.open
             if open_ and open_[0][0] == node.f:
-                head = (node.f, -node.g, (col * grid.height + row) * self._key_base + (
-                    0 if parent is None else parent.cell[0] * grid.height + parent.cell[1] + 1))
+                head = (node.f, -node.g, (col * height + row) * base + (
+                    0 if parent is None else parent.cell[0] * height + parent.cell[1] + 1))
                 while open_ and open_[0][:3] == head:
                     heappop(open_)
                     stats.stale_pops += 1
@@ -546,7 +571,6 @@ class Search:
 
         # Bound once: spans.py and the tests wrap Search.expand before run.
         expand, close, new_node = self.expand, closed.add, SearchNode.__new__
-        popped = 0  # entries expanded, added to stats.expansions at the end
         verdict = Verdict.NOT_FOUND
         path = None
         while open_:
@@ -565,7 +589,6 @@ class Search:
                 stats.stale_pops += 1
                 continue
             close(key)
-            popped += 1
             # SearchNode(...) without the __init__ frame.
             node = new_node(SearchNode)
             node.cell = divmod(ident, height)
@@ -575,7 +598,7 @@ class Search:
             node.level = level
             expand(node)
 
-        stats.expansions += popped
+        stats.expansions += len(closed)  # one key per popped expansion
         stats.runtime = perf() - t0
         return Outcome(verdict, path, stats)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .grids import Cell, Grid
 
 
@@ -21,13 +23,9 @@ def render_svg(grid: Grid, path: Sequence[Cell] | None, out: str | Path | None =
         f'width="{4 * w}" height="{4 * h}">',
         f'<rect class="bg" x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
     ]
-    blocked = grid.blocked
-    for row in range(h):
-        for col in range(w):
-            if blocked[row, col]:
-                parts.append(
-                    f'<rect class="b" x="{col}" y="{row}" width="1" height="1" fill="#444444"/>'
-                )
+    # The blocked cells in row-major order, as Python ints.
+    for row, col in np.argwhere(grid.blocked).tolist():
+        parts.append(f'<rect class="b" x="{col}" y="{row}" width="1" height="1" fill="#444444"/>')
     if path:
         points = " ".join(f"{c + 0.5:g},{r + 0.5:g}" for c, r in path)
         parts.append(

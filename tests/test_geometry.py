@@ -214,7 +214,7 @@ class TestArcWindow:
         # admissible offsets are not one run of it.
         scrambled = ((-2, 0), (2, 0), (0, 2), (2, 1))
         monkeypatch.setattr(geometry, "circle_offsets", lambda radius: scrambled)
-        assert arc_window.__wrapped__(2, 1, 0, 30.0) == 0b1010
+        assert arc_window(2, 1, 0, 30.0) == 0b1010
 
 
 class TestLineOfSight:

@@ -694,6 +694,33 @@ class TestSvg:
         text = render_svg(grid, None)
         assert text.count('<rect class="b"') == int(grid.blocked.sum())
 
+    @staticmethod
+    def loop_rects(grid):
+        # The blocked-cell rects as render_svg drew them first: every cell
+        # tested in a row-major double loop.
+        return [f'<rect class="b" x="{col}" y="{row}" width="1" height="1" fill="#444444"/>'
+                for row in range(grid.height) for col in range(grid.width)
+                if grid.blocked[row, col]]
+
+    def test_blocked_rects_match_the_cell_loop(self):
+        # Byte for byte: the drawing of the same grid with no blocked cell,
+        # with the loop's rects after its two background lines.
+        from anglepath.svg import render_svg
+
+        rng = random.Random(20)
+        grids = [random_grid(rng, rng.randrange(1, 40), rng.choice([0.1, 0.5, 0.9]))
+                 for _ in range(20)]
+        for h, w in ((1, 1), (1, 17), (17, 1), (9, 13)):
+            grids += [Grid(np.zeros((h, w), bool)), Grid(np.ones((h, w), bool))]
+        grids += [Grid(np.array([[True, False, True] * 5])), Grid(np.array([[True], [False]])),
+                  Grid(np.random.default_rng(20).random((7, 23)) < 0.4)]
+        for grid in grids:
+            path = [(0, 0), (grid.width - 1, grid.height - 1)]
+            for drawn in (path, None):
+                lines = render_svg(Grid(np.zeros(grid.blocked.shape, bool)), drawn).split("\n")
+                expected = "\n".join(lines[:2] + self.loop_rects(grid) + lines[2:])
+                assert render_svg(grid, drawn) == expected
+
     def test_deterministic_and_writes_file(self, tmp_path):
         from anglepath.svg import render_svg
 

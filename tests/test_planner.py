@@ -965,6 +965,54 @@ class TestDominance:
         assert (second.level, s.stats.reinsertions) == (0, 0)
 
 
+class TestQueuedEntriesBitForBit:
+    """Each entry expand queues holds, bit for bit, the -g and f of the
+    definition: g = parent.g + hypot(step) and f = g + weight * h. A change
+    to how expand rounds either fails here, not only in the benchmark's
+    record digests."""
+
+    def cases(self):
+        blocked = mapgen.building_blocked(4)
+        building = Grid(blocked)
+        instances = mapgen.hard_instances(blocked, "b4", 4, seed=20)
+        for alpha in (25, 90):
+            for cfg in (PlannerConfig(mode="lian", delta_max=8, time_cap=60),
+                        elian_cfg(dmax=8, dmin=4)):
+                for grid, start, goal in mapgen.corridor_suite():
+                    yield grid, start, goal, dataclasses.replace(cfg, alpha_max=alpha)
+            for cfg in (LIAN20, elian_cfg()):
+                for inst in instances:
+                    yield building, inst.start, inst.goal, dataclasses.replace(
+                        cfg, alpha_max=alpha)
+
+    def test_queued_entries_hold_exact_g_and_f(self, monkeypatch):
+        pushed = []
+        real_heappush = planner.heappush
+
+        def heappush(heap, entry):
+            pushed.append(entry)
+            real_heappush(heap, entry)
+
+        monkeypatch.setattr(planner, "heappush", heappush)
+        checked = goals = left = 0
+        for grid, start, goal, cfg in self.cases():
+            del pushed[:]
+            s = Search(grid, start, goal, cfg)
+            s.run()
+            assert pushed[0][4] is None  # the start, pushed by run
+            left += len(s.open)
+            for f, neg_g, key, _, parent, _ in pushed[1:]:
+                (col, row), (pcol, prow) = divmod(key // s._key_base, grid.height), parent.cell
+                g = parent.g + math.hypot(col - pcol, row - prow)
+                assert neg_g == -g, (cfg, (col, row), parent.cell)
+                assert f == g + cfg.weight * math.hypot(goal[0] - col, goal[1] - row)
+                if (col, row) == goal:
+                    assert f == g
+                    goals += 1
+                checked += 1
+        assert checked > 15000 and goals > 50 and left > 4000
+
+
 def differential_instance(seed, mirror):
     """A random grid with start and goal, or None; mirror=True makes the
     grid symmetric about the start's row and puts the goal on that row, so
