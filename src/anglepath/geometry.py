@@ -14,11 +14,13 @@ from one cell over the rays a bitmask selects, such as the delta-circle
 offsets one expansion may move to, answering with a bitmask;
 line_of_sight() asks it for a single ray. sight_table() runs the same test
 from every cell of the grid at once, a bit per cell, and keeps a row of
-answers per cell. Everything here is a pure function of its arguments; the
-caches are lru_caches keyed by them, and the planner keeps its own per-grid
-rings of circle rays. The one exception is arc_windows(): it hands out one
-mutable map per (radius, alpha_max), which the planner fills with
-arc_window() answers; it is the only cache of arc windows.
+answers per cell; the planner runs it on square tiles of the grid, each cut
+with a margin as wide as the circle, and keeps per grid and radius the rows
+its searches read. Everything here is a pure function of its arguments;
+the caches are lru_caches keyed by them. The one exception is
+arc_windows(): it hands out one mutable map per (radius, alpha_max), which
+the planner fills with arc_window() answers; it is the only cache of arc
+windows.
 """
 
 from __future__ import annotations

@@ -58,13 +58,14 @@ class Grid:
     n <= MAX_RUN, and a cell is blocked iff its ``free_right`` entry is 0.
 
     ``circle_tables`` holds the planner's delta-circle rings on this grid,
-    one per radius; planner.Search's docstring gives their layout. It is
-    derived data: pickling drops it and searches on the unpickled grid fill
-    it again as they go.
+    one per radius, with the cells' sight rows; planner._Ring gives their
+    layout, and reaches the grid through a weak reference. It is derived
+    data: pickling drops it and searches on the unpickled grid fill it again
+    as they go.
     """
 
     __slots__ = (
-        "width", "height", "blocked", "free_right", "free_down", "circle_tables",
+        "width", "height", "blocked", "free_right", "free_down", "circle_tables", "__weakref__",
     )
 
     def __init__(self, blocked: np.ndarray):
@@ -77,7 +78,7 @@ class Grid:
         self.blocked = blocked
         self.free_right = _free_runs(blocked).tobytes()
         self.free_down = _free_runs(np.ascontiguousarray(blocked.T)).T.tobytes()
-        self.circle_tables: dict[int, tuple] = {}
+        self.circle_tables: dict = {}
 
     def __reduce__(self):
         # Rebuild through __init__: numpy unpickles arrays writeable, and the

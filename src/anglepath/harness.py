@@ -29,7 +29,7 @@ from .planner import PlannerConfig, Verdict, prepare, release, search
 _NULLABLE = ("path_length", "accumulated_angle_deg", "path")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """Outcome of one search on one instance."""
 
@@ -104,9 +104,9 @@ class BatchResult:
     errors: list[str]
 
 
-# The one grid whose sight tables this process keeps. Tasks reach a process
-# map by map, so it frees a map's tables when it moves on to another map or
-# batch; a stolen task on a map left before builds them again.
+# The one grid whose sight tables and rows this process keeps. Tasks reach
+# a process map by map, so it frees a map's tables when it moves on to
+# another map or batch; a stolen task on a map left before builds them again.
 _prepared: Grid | None = None
 
 

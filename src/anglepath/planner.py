@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, fields
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import product
 from math import hypot
+
+import numpy as np
 
 from .geometry import (
     ANGLE_EPS_DEG,
@@ -255,57 +259,126 @@ def validate_path(grid: Grid, path: list[Cell], alpha_max: float) -> PathViolati
     return None
 
 
-# prepare() builds no sight table larger than this; such rings walk rays.
-# It admits every ring of the default ladder (radii 20, 10, 5) on maps up
-# to 1024x1024: 14 MiB at radius 20 there, whose build took 0.2 s and about
-# 8 bytes per cell of temporaries (BENCH_16.json, table_cost).
+# A ring fills its sight rows from tables over square tiles of TILE x TILE
+# cells, each built on the tile's first miss (see _Ring): a lone search on a
+# large map pays only for the tiles it reaches. A 128x128 map is one tile.
+TILE = 128
+# No tile's sight table is built larger than this, margins included; such a
+# tile's cells walk rays. A tile and its margins span at most TILE + 2 *
+# radius cells each way, so every tile gets a table up to radius 140 (at
+# radius 20, 168 x 168 cells of 14 bytes, 0.4 MB). A whole 1024x1024 table
+# at radius 20, 14 MiB, took 0.2 s to build and about 8 bytes per cell of
+# temporaries (BENCH_16.json, table_cost).
 MAX_TABLE_BYTES = 1 << 24
 
 
-def _circle_ring(grid: Grid, radius: int, tabled: bool) -> tuple:
-    # The grid's ring of this radius (see Search), built on first use; with
-    # ``tabled`` it gets its sight table, if it has none and the size allows.
-    ring = grid.circle_tables.get(radius)
-    if ring is None:
+class _Ring(dict):
+    """The delta circle of one radius on one grid, and what cells see of it.
+
+    Step j is (dcol, drow, hypot, key shift) of offset j of
+    circle_offsets(radius); rays[j] is (dcol, drow, ray), the ray None if
+    the offset lands in the grid from no cell; ``full`` is ``(1 << n) - 1``
+    for the n offsets. A circle of radius >= 2 * max(width, height) lies
+    farther out than any two cells are apart: its ring has no offsets.
+
+    As a dict, the ring maps a cell's flat index to its sight row: bit j is
+    set iff offset j's target lies in the grid and in sight of the cell, as
+    sight_bits() over the full mask answers. A missing row is copied from
+    the sight table of the cell's tile, the cells (col, row) with ``(row //
+    TILE, col // TILE)`` equal to the tile's index. tile() builds it on the
+    tile's first miss by geometry.sight_table() on the tile widened by
+    ``radius`` cells each way, which holds every cell the tile's cells can
+    see. A tile whose table would exceed MAX_TABLE_BYTES walks the rays of
+    each missing row instead. ``tiles`` maps a tile's index to its own
+    cells' rows of that table, in flat order, or to None when it walks. The
+    ring reaches its grid through a weak proxy, so a grid and its rings are
+    freed as soon as the grid is dropped.
+    """
+
+    __slots__ = ("radius", "steps", "rays", "full", "size", "grid", "tiles")
+
+    def __init__(self, grid: Grid, radius: int):
         width, height = grid.width, grid.height
         base = width * height + 1
         circle = () if radius >= 2 * max(width, height) else circle_offsets(radius)
-        steps = tuple(
+        self.radius = radius
+        self.steps = tuple(
             (dc, dr, math.hypot(dc, dr), (dc * height + dr) * base) for dc, dr in circle
         )
-        rays = tuple(
-            (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
-            for dc, dr in circle
-        )
-        ring = grid.circle_tables[radius] = (
-            radius, steps, len(steps), (1 << len(steps)) - 1, {}, rays, None)
-    count = ring[2]
-    if (tabled and count and ring[6] is None
-            and grid.width * grid.height * ((count + 7) // 8) <= MAX_TABLE_BYTES):
-        # The memo is read no more: the table answers for every cell.
-        ring = grid.circle_tables[radius] = ring[:4] + ({}, ring[5], sight_table(grid, ring[5]))
+        self.rays = _rays(circle, width, height)
+        self.full = (1 << len(circle)) - 1
+        self.size = (len(circle) + 7) // 8  # bytes per table row
+        self.grid = weakref.proxy(grid)
+        self.tiles: dict = {}
+
+    def tile(self, index: tuple[int, int]) -> bytes | None:
+        # The tile's entry in ``tiles``, built on the first call.
+        tile = self.tiles.get(index, False)
+        if tile is False:
+            grid, radius = self.grid, self.radius
+            top, left = index[0] * TILE, index[1] * TILE
+            lo, hi = max(0, top - radius), min(grid.height, top + TILE + radius)
+            west, east = max(0, left - radius), min(grid.width, left + TILE + radius)
+            tile = None
+            if (hi - lo) * (east - west) * self.size <= MAX_TABLE_BYTES:
+                cut = Grid(grid.blocked[lo:hi, west:east])
+                table = sight_table(cut, _rays(self.rays, cut.width, cut.height))
+                table = np.frombuffer(table, np.uint8).reshape(hi - lo, east - west, self.size)
+                tile = table[top - lo:top - lo + TILE, left - west:left - west + TILE].tobytes()
+            self.tiles[index] = tile
+        return tile
+
+    def __missing__(self, flat: int) -> int:
+        width = self.grid.width
+        row, col = divmod(flat, width)
+        (i, y), (j, x) = divmod(row, TILE), divmod(col, TILE)
+        tile = self.tile((i, j))
+        if tile is None:
+            bits = sight_bits(self.grid, (col, row), self.rays, self.full)
+        else:
+            at = (y * min(TILE, width - j * TILE) + x) * self.size  # the tile's rows are this wide
+            bits = _from_bytes(tile[at:at + self.size], "little")
+        self[flat] = bits
+        return bits
+
+
+def _rays(offsets, width: int, height: int) -> tuple:
+    # (dcol, drow, ray) per (dcol, drow, ...) of offsets on a grid of this
+    # size, the ray None when the offset lands in the grid from no cell.
+    return tuple(
+        (dc, dr, ray(width, dc, dr) if abs(dc) < width and abs(dr) < height else None)
+        for dc, dr, *_ in offsets
+    )
+
+
+def _circle_ring(grid: Grid, radius: int) -> _Ring:
+    # The grid's ring of this radius, built on first use.
+    ring = grid.circle_tables.get(radius)
+    if ring is None:
+        ring = grid.circle_tables[radius] = _Ring(grid, radius)
     return ring
 
 
 def prepare(grid: Grid, cfg: PlannerConfig) -> None:
-    """Build the sight tables of the rings cfg's searches use on the grid.
+    """Build every tile's sight table for the rings cfg's searches use on
+    the grid, so that no search pays for a build (see _Ring).
 
-    Searches then read each cell's sight of a circle from its table instead
-    of walking rays, with the same results. A table takes ``width * height
-    * ceil(n / 8)`` bytes for a circle of n offsets; none is built above
-    MAX_TABLE_BYTES.
+    The tables keep ``ceil(n / 8)`` bytes per cell for a circle of n
+    offsets, as one table of the whole grid would.
     """
     for delta in delta_levels(cfg):
-        _circle_ring(grid, max(1, round(delta)), True)
+        ring = _circle_ring(grid, max(1, round(delta)))
+        if ring.steps:
+            for index in product(range(-(-grid.height // TILE)), range(-(-grid.width // TILE))):
+                ring.tile(index)
 
 
 def release(grid: Grid) -> None:
-    """Drop the sight tables prepare() built on the grid; searches there
-    walk rays again, with the same results."""
-    rings = grid.circle_tables
-    for radius, ring in rings.items():
-        if ring[6] is not None:
-            rings[radius] = ring[:6] + (None,)
+    """Drop the sight rows and tile tables of the grid's rings; searches
+    there fill them again, with the same results."""
+    for ring in grid.circle_tables.values():
+        ring.clear()
+        ring.tiles.clear()
 
 
 class Search:
@@ -326,32 +399,20 @@ class Search:
     cell's flat index to ``(g, mask)``, the g of the cell's last expansion
     there and the circle offsets queued at that g, which expand() skips.
 
-    The grid's ``circle_tables`` is read only here and written only by
-    _circle_ring(), for this class and prepare(), and by release(). It
-    maps each radius a search or prepare() reached to its ring ``(radius,
-    steps, n, (1 << n) - 1, memo, rays, table)``, built once per grid over
-    the n offsets of circle_offsets(). Step j is (dcol, drow, hypot, key
-    shift) of offset j; rays[j] is (dcol, drow, ray), the ray None if the
-    offset lands in the grid from no cell. The memo maps a cell's flat
-    index to ``asked << n | seen``: bit j of ``asked`` is set once offset j
-    was tested from the cell, bit j of ``seen`` iff its target lies in the
-    grid and in sight of the cell. ``table`` is None, or
-    geometry.sight_table() of the rays from prepare() until release():
-    expansions then read a cell's row of the table, and the memo stays
-    empty. A circle of radius >= 2 * max(width, height) lies farther out
-    than any two cells are apart: its ring has no offsets and no table.
+    The grid's ``circle_tables`` maps each radius a search or prepare()
+    reached to its _Ring, built once per grid; it is read only here and
+    written only by _circle_ring(), the rings themselves and release().
 
-    Per ladder level, ``_rings`` keeps the grid's ring and ``_visits`` the
-    record a level visit of expand() reads, both built by _ring() on the
-    level's first expansion: ``(steps, n, memo, table, row size,
-    arc_windows, delta, radius)``. The row size is a table row's bytes,
-    ``(n + 7) // 8``, and arc_windows is geometry.arc_windows() of the
-    radius and alpha_max, the heading -> arc window map shared by every
-    search in the process; expand() reads windows from it and stores
-    arc_window()'s answer on a miss. ``_consts`` holds what every expand()
-    call reads and no search changes: ``(grid, goal, ladder length, stats,
-    width, height, key base, weight, closed, open)``, the last two the
-    very objects of ``closed`` and ``open``.
+    Per ladder level, ``_visits`` keeps the record a level visit of
+    expand() reads, built by _visit() on the level's first expansion:
+    ``(steps, ring, arc_windows, delta, radius)``. arc_windows is
+    geometry.arc_windows() of the radius and alpha_max, the heading -> arc
+    window map shared by every search in the process; expand() reads
+    windows from it and stores arc_window()'s answer on a miss.
+    ``_consts`` holds what every expand() call reads and no search changes:
+    ``(grid, goal, ladder length, stats, width, height, key base, weight,
+    closed, open)``, the last two the very objects of ``closed`` and
+    ``open``.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -377,23 +438,20 @@ class Search:
         # What expand() reads on every call, unpacked there at once.
         self._consts = (grid, goal, len(self.levels), self.stats, grid.width, grid.height,
                         self._key_base, cfg.weight, self.closed, self.open)
-        # Per ladder level, filled on its first expansion by _ring(): the
-        # grid's ring, and the record a level visit reads.
-        self._rings: list = [None] * len(self.levels)
+        # Per ladder level, the record a level visit reads, filled on the
+        # level's first expansion by _visit().
         self._visits: list = [None] * len(self.levels)
         # Per ladder level: a cell's flat index -> (g, offsets queued), see expand().
         self._queued: list = [{} for _ in self.levels]
 
-    def _ring(self, level: int) -> tuple:
-        # A ladder level's visit record (see the class docstring) over its
-        # ring, built on the grid by the first search or prepare() call that
-        # reaches its radius.
+    def _visit(self, level: int) -> tuple:
+        # A ladder level's visit record (see the class docstring) over the
+        # grid's ring of its radius.
         delta = self.levels[level]
         radius = max(1, round(delta))
-        _, steps, count, _, memo, _, table = self._rings[level] = _circle_ring(
-            self.grid, radius, False)
-        visit = self._visits[level] = (steps, count, memo, table, (count + 7) // 8,
-                                       arc_windows(radius, self.cfg.alpha_max), delta, radius)
+        ring = _circle_ring(self.grid, radius)
+        visit = self._visits[level] = (
+            ring.steps, ring, arc_windows(radius, self.cfg.alpha_max), delta, radius)
         return visit
 
     def expand(self, node: SearchNode) -> None:
@@ -401,8 +459,8 @@ class Search:
 
         The call unpacks ``_consts`` once, and each level visit unpacks the
         level's record in ``_visits`` (see the class docstring); the ring's
-        rays, its full mask and the ``_queued`` map are read only by a memo
-        miss, the start node and a visit that generates children.
+        full mask and the ``_queued`` map are read only by the start node
+        and a visit that generates children.
         Candidates are the in-bounds cells of the discrete circle at the
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
@@ -410,10 +468,9 @@ class Search:
         limit. The heading's window is read from the level's shared
         arc_windows() map, or on a miss computed by arc_window() and stored
         there. Bounds and line of sight for the offsets in that window
-        come, as bits, from the memo (see the class docstring), or from the
-        ring's table when it has one: then no ray is walked. Otherwise
-        sight_bits() walks only the rays of offsets the memo has no answer
-        for yet, and the cell's memo entry keeps them. Keys, g and the
+        are the window ANDed with the cell's sight row in the ring, which
+        the ring fills on the cell's first visit at that radius (see
+        _Ring). Keys, g and the
         ``_queued`` entry are looked at only once the arc has visible
         targets or the goal is in reach. Survivors whose identity was
         already expanded are dropped; the rest are pushed as lazy entries
@@ -454,26 +511,16 @@ class Search:
         visits = self._visits
         level, descents = node.level, 0
         while True:
-            targets, count, memo, table, size, arcs, delta, radius = (
-                visits[level] or self._ring(level))
+            targets, rows, arcs, delta, radius = visits[level] or self._visit(level)
             bits = 0
             if targets:
                 if parent is None:
-                    need = self._rings[level][3]
+                    need = rows.full
                 else:
                     need = arcs.get(heading)
                     if need is None:
                         need = arcs[heading] = arc_window(radius, hx, hy, self.cfg.alpha_max)
-                if table:
-                    bits = _from_bytes(table[flat * size:flat * size + size], "little") & need
-                else:
-                    bits = memo.get(flat, 0)
-                    missing = need & ~(bits >> count)
-                    if missing:
-                        bits |= missing << count | sight_bits(
-                            grid, cell, self._rings[level][5], missing)
-                        memo[flat] = bits
-                    bits &= need
+                bits = rows[flat] & need
             reach = dg < delta and (
                 parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold)
             ) and line_of_sight(grid, cell, goal)

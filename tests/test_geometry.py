@@ -463,8 +463,9 @@ class TestVisibleTargets:
                     assert line_of_sight(g, cell, target) == ((dc, dr) in expected)
 
     def test_answers_are_kept_on_the_grid(self, monkeypatch):
-        # Search.expand keeps what sight_bits answered per radius and cell,
-        # so no ray from a cell is walked twice on one grid.
+        # Search.expand keeps each cell's sight of the whole circle per
+        # radius, copied from the sight table of the cell's tile, so no ray
+        # is tested twice on one grid.
         walked = []
 
         class CountingRay(tuple):
@@ -493,21 +494,21 @@ class TestVisibleTargets:
         # and (2, 1), bits 6, 8, 10 and 11, land, and the blocked centre
         # hides (1, 2) and (2, 1). Heading east asks bits 9-11.
         assert children(g, (-1, 0)) == [(2, 0)]
-        assert walked == [10, 11]  # (2, -1), bit 9, is off the grid
+        # The one tile's table tests each ray once, from every cell at once.
+        assert walked == list(range(12))
         assert children(g, None) == [(0, 2), (2, 0)]
-        assert walked == [10, 11, 6, 8]
         assert children(g, (0, -1)) == [(0, 2)]  # heading south: bits 4, 6 and 8
-        assert len(walked) == 4  # every offset was asked before
-        # One ring per radius, and in its memo one entry per asked cell:
-        # asked bits above the seen ones.
+        assert len(walked) == 12  # the cell's row was kept
+        # One ring per radius, and in it one row per expanded cell: the bits
+        # of the whole circle's visible targets.
         assert list(g.circle_tables) == [2]
-        radius, steps, count, full, memo, rays, table = g.circle_tables[2]
-        assert memo == {0: 0xFFF << 12 | 1 << 10 | 1 << 6}
-        assert table is None  # searches alone walk rays; prepare() builds tables
+        ring = g.circle_tables[2]
+        assert dict(ring) == {0: 1 << 10 | 1 << 6}
+        assert list(ring.tiles) == [(0, 0)]
         fresh = parse_ascii_map("...\n.#.\n...")
         assert fresh.circle_tables == {}
         assert children(fresh, (-1, 0)) == [(2, 0)]
-        assert walked[4:] == [10, 11]  # a new grid keeps its own answers
+        assert walked[12:] == list(range(12))  # a new grid keeps its own answers
 
     @pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
     def test_straight_rays_longer_than_a_table_entry(self, shape):

@@ -220,15 +220,15 @@ class TestRunBatch:
         assert 1 <= max(live) <= 2
 
     def test_no_grid_held_after_the_batch(self):
-        # Run in this process, tasks build sight tables on the batch's grid;
-        # neither the module nor the grid may keep them once run_batch
-        # returns or raises.
+        # Run in this process, tasks build sight tables and rows on the
+        # batch's grid; neither the module nor the grid may keep them once
+        # run_batch returns or raises.
         from anglepath import harness
 
         def no_tables():
             rings = self.grid.circle_tables
             return harness._prepared is None and rings and all(
-                ring[6] is None for ring in rings.values())
+                not ring and not ring.tiles for ring in rings.values())
 
         run_batch(self.scens, self.configs, grids=self.grids, jobs=1)
         assert no_tables()
@@ -411,9 +411,9 @@ class TestLanes:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_records_the_same_without_prepare(self, jobs, monkeypatch):
-        # Sight tables change how a search learns what a cell sees, not what
-        # it finds. Walls make the searches turn and descend; a forked
-        # worker inherits the patch that skips prepare().
+        # Sight tables built ahead change when a search learns what a cell
+        # sees, not what it finds. Walls make the searches turn and descend;
+        # a forked worker inherits the patch that skips prepare().
         from anglepath import harness
 
         blocked = np.zeros((40, 40), dtype=bool)
@@ -427,31 +427,34 @@ class TestLanes:
         assert len(prepared.records) == 14 and prepared.errors == []
         assert sum(r.reinsertions for r in prepared.records) > 0
         if jobs == 1:  # the rings are this process's, and their tables freed
-            assert rings and all(ring[6] is None for ring in rings.values())
+            assert rings and all(not ring.tiles for ring in rings.values())
         monkeypatch.setattr(harness, "prepare", lambda grid, cfg: None)
         bare, bare_sunk = walled_batch()
-        if jobs == 1:
-            assert all(ring[6] is None for ring in self.grids["a.map"].circle_tables.values())
+        if jobs == 1:  # the searches built tables themselves, and they were freed
+            assert all(not ring.tiles for ring in self.grids["a.map"].circle_tables.values())
         assert timeless(bare.records) == timeless(prepared.records)
         assert timeless(bare_sunk) == timeless(sunk) == timeless(prepared.records)
         assert bare.errors == prepared.errors
 
     def test_a_process_keeps_one_maps_tables(self, monkeypatch):
         # Tasks run on maps a, a, b, b, c, c, a, a: after each prepare()
-        # only the task's own map holds tables, and after the batch none.
+        # only the task's own map holds tables or rows, and after the batch
+        # none.
         from anglepath import harness
 
         held = []
 
+        def holds(g):
+            return any(ring or ring.tiles for ring in g.circle_tables.values())
+
         def prepare_and_look(grid, cfg):
             prepare(grid, cfg)
-            held.append([name for name, g in self.grids.items()
-                         if any(ring[6] is not None for ring in g.circle_tables.values())])
+            held.append([name for name, g in self.grids.items() if holds(g)])
 
         monkeypatch.setattr(harness, "prepare", prepare_and_look)
         self.batch(1)
         assert held == [["a.map"]] * 2 + [["b.map"]] * 2 + [["c.map"]] * 2 + [["a.map"]] * 2
-        assert all(ring[6] is None for g in self.grids.values() for ring in g.circle_tables.values())
+        assert not any(holds(g) for g in self.grids.values())
         assert harness._prepared is None
 
     def test_dead_worker_ends_the_batch(self, monkeypatch):

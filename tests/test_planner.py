@@ -27,7 +27,7 @@ from anglepath import (
     search,
     validate_path,
 )
-from anglepath.geometry import circle_offsets, turn_cos_threshold
+from anglepath.geometry import circle_offsets, sight_bits, sight_table, turn_cos_threshold
 from anglepath import geometry, planner
 from anglepath.planner import MAX_LEVELS, prepare, release
 from oracles import (
@@ -455,10 +455,11 @@ class TestHugeDelta:
         out = search(grid, (0, 0), (510, 510), cfg)
         assert time.perf_counter() - t0 < 0.2 + 2.0
         assert out.verdict is Verdict.TIMEOUT
-        # The kept answers grow with the cells expanded, not with the map.
-        radius, steps, count, full, memo, rays, table = grid.circle_tables[600]
-        assert 1 <= len(memo) <= out.stats.expansions
-        assert table is None
+        # Every tile is over the table cap, so each expanded cell walks the
+        # rays: the kept rows grow with the cells expanded, not with the map.
+        ring = grid.circle_tables[600]
+        assert 1 <= len(ring) <= out.stats.expansions
+        assert ring.tiles and set(ring.tiles.values()) == {None}
 
 
 def essence(out):
@@ -467,8 +468,37 @@ def essence(out):
                                    if f.name != "runtime"]
 
 
+def tall_walled_grid():
+    # 60 rows of 16 cells, random blocks and two walls with gaps: searches
+    # wind through many tiles of 3 x 3 cells, at radii wider than a tile.
+    rng = random.Random(22)
+    blocked = np.array([[rng.random() < 0.08 for _ in range(16)] for _ in range(60)])
+    blocked[20, 3:] = blocked[40, :13] = True
+    grid = Grid(blocked)
+    free = [(c, r) for r in range(grid.height) for c in range(grid.width)
+            if not grid.blocked_at(c, r)]
+    pairs = [rng.sample(free, 2) for _ in range(8)]
+    return grid, pairs
+
+
+def tile_indices(grid, tile):
+    return [(i, j) for i in range(-(-grid.height // tile)) for j in range(-(-grid.width // tile))]
+
+
+def assert_rows_match_rays(grid):
+    # Every sight row the searches left equals sight_bits() over the circle.
+    rows = 0
+    for ring in grid.circle_tables.values():
+        for flat, row in ring.items():
+            cell = flat % grid.width, flat // grid.width
+            assert row == sight_bits(grid, cell, ring.rays, ring.full), (ring.radius, cell)
+        rows += len(ring)
+    assert rows > 0
+
+
 class TestPrepare:
-    """prepare() gives rings sight tables; searches read them, same results."""
+    """prepare() builds the tile tables of a config's rings; searches copy
+    rows from them, with the same results."""
 
     CONFIGS = (
         PlannerConfig(mode="lian", delta_max=8, alpha_max=25),
@@ -503,62 +533,136 @@ class TestPrepare:
         assert descents > 1000
 
     def test_table_rings_walk_no_ray(self, monkeypatch):
-        # Expansions read a prepared ring's table: no call of sight_bits,
-        # and nothing in the memo.
+        # After prepare(), a search builds no table and walks no ray: it
+        # copies every row it reads from a tile's table.
         grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
         cfg = self.CONFIGS[1]
         expected = essence(search(Grid(grid.blocked), start, goal, cfg))
+        monkeypatch.setattr(planner, "TILE", 4)
         prepare(grid, cfg)
         monkeypatch.setattr(planner, "sight_bits", lambda *args: pytest.fail("walked a ray"))
+        monkeypatch.setattr(planner, "sight_table", lambda *args: pytest.fail("built a table"))
         assert essence(search(grid, start, goal, cfg)) == expected
         assert sorted(grid.circle_tables) == [2, 4, 8]
-        for radius, steps, count, full, memo, rays, table in grid.circle_tables.values():
-            assert len(table) == grid.width * grid.height * ((count + 7) // 8)
-            assert memo == {}
+        for ring in grid.circle_tables.values():
+            assert sorted(ring.tiles) == tile_indices(grid, 4)
+            for (i, j), table in ring.tiles.items():  # the tile's own rows
+                rows = min(grid.height, 4 * i + 4) - 4 * i
+                cols = min(grid.width, 4 * j + 4) - 4 * j
+                assert len(table) == rows * cols * ring.size
+            assert ring
 
-    def test_prepare_adds_a_table_to_a_searched_ring(self):
-        # A ring a search built keeps its steps and rays; its memo, which
-        # the table makes unread, is emptied.
+    def test_prepare_adds_a_table_to_a_searched_ring(self, monkeypatch):
+        # A ring a search built keeps its rows and the tiles it reached;
+        # prepare() builds only the tiles it lacks.
         grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
         cfg = PlannerConfig(mode="lian", delta_max=8, alpha_max=25)
+        monkeypatch.setattr(planner, "TILE", 4)
         before = essence(search(grid, start, goal, cfg))
         ring = grid.circle_tables[8]
-        assert ring[6] is None and ring[4]
+        rows, tiles = dict(ring), dict(ring.tiles)
+        assert rows and 0 < len(tiles) < len(tile_indices(grid, 4))
         prepare(grid, cfg)
-        tabled = grid.circle_tables[8]
-        assert tabled[:4] == ring[:4] and tabled[5] is ring[5]
-        assert tabled[4] == {} and tabled[6] is not None
+        assert grid.circle_tables[8] is ring and dict(ring) == rows
+        assert sorted(ring.tiles) == tile_indices(grid, 4)
+        assert all(ring.tiles[index] is tile for index, tile in tiles.items())
+        tabled = dict(ring.tiles)
         prepare(grid, cfg)
-        assert grid.circle_tables[8] is tabled
+        assert ring.tiles == tabled
         assert essence(search(grid, start, goal, cfg)) == before
 
     def test_release_drops_only_the_tables(self):
         grid, start, goal = mapgen.bend_corridor(3, 13, 13, 0.0)
         cfg = self.CONFIGS[1]
         prepare(grid, cfg)
-        tabled = dict(grid.circle_tables)
+        search(grid, start, goal, cfg)
+        rings = dict(grid.circle_tables)
+        steps = {radius: (ring.steps, ring.rays) for radius, ring in rings.items()}
         release(grid)
-        assert sorted(grid.circle_tables) == [2, 4, 8]
+        assert grid.circle_tables == rings
         for radius, ring in grid.circle_tables.items():
-            assert ring[:6] == tabled[radius][:6] and ring[6] is None
+            assert ring is rings[radius] and (ring.steps, ring.rays) == steps[radius]
+            assert not ring and ring.tiles == {}
         assert essence(search(grid, start, goal, cfg)) == essence(
             search(Grid(grid.blocked), start, goal, cfg))
-        walked = dict(grid.circle_tables)
-        release(grid)  # no tables: nothing changes
-        assert grid.circle_tables == walked
 
     def test_no_table_above_the_cap_or_without_offsets(self, monkeypatch):
         grid = empty_grid(20)
         prepare(grid, PlannerConfig(mode="lian", delta_max=40))  # 40 >= 2 * 20
-        assert grid.circle_tables[40][2:4] == (0, 0)
-        assert grid.circle_tables[40][6] is None
+        assert (grid.circle_tables[40].steps, grid.circle_tables[40].full) == ((), 0)
+        assert grid.circle_tables[40].tiles == {}
         # A radius-3 ring has 16 offsets: 2 bytes for each of 400 cells.
         monkeypatch.setattr(planner, "MAX_TABLE_BYTES", 799)
         prepare(grid, PlannerConfig(mode="lian", delta_max=3))
-        assert grid.circle_tables[3][6] is None
+        assert grid.circle_tables[3].tiles == {(0, 0): None}
+        release(grid)
         monkeypatch.setattr(planner, "MAX_TABLE_BYTES", 800)
         prepare(grid, PlannerConfig(mode="lian", delta_max=3))
-        assert len(grid.circle_tables[3][6]) == 800
+        assert len(grid.circle_tables[3].tiles[0, 0]) == 800
+
+
+class TestSightRows:
+    """A ring's rows equal sight_bits() over its whole circle, however they
+    were filled: from one table, from tile tables or by walking rays."""
+
+    CFG = PlannerConfig(mode="elian", delta_max=8, delta_min=2, k=0.5, alpha_max=45)
+
+    def test_rows_from_one_table(self):
+        building = Grid(mapgen.building_blocked(4))
+        free = [(c, r) for r in range(building.height) for c in range(building.width)
+                if not building.blocked_at(c, r)]
+        rng = random.Random(22)
+        elian = PlannerConfig(mode="elian", delta_max=20, delta_min=5, alpha_max=30)
+        for _ in range(4):
+            search(building, *rng.sample(free, 2), elian)
+        assert sorted(building.circle_tables) == [5, 10, 20]
+        assert all(list(ring.tiles) == [(0, 0)] for ring in building.circle_tables.values())
+        assert_rows_match_rays(building)
+
+    @pytest.mark.parametrize("cap", [planner.MAX_TABLE_BYTES, 0])
+    def test_rows_from_tiles_or_rays(self, cap, monkeypatch):
+        # Tiles of 3 x 3 cells, at radii 8, 4 and 2; with no table allowed,
+        # every tile walks the rays of each row.
+        grid, pairs = tall_walled_grid()
+        expected = [essence(search(grid, a, b, self.CFG)) for a, b in pairs]
+        assert sum(out[0] is Verdict.FOUND for out in expected) >= 6
+        tiled = Grid(grid.blocked)
+        monkeypatch.setattr(planner, "TILE", 3)
+        monkeypatch.setattr(planner, "MAX_TABLE_BYTES", cap)
+        assert [essence(search(tiled, a, b, self.CFG)) for a, b in pairs] == expected
+        assert sorted(tiled.circle_tables) == [2, 4, 8]
+        for ring in tiled.circle_tables.values():
+            assert len({i for i, _ in ring.tiles}) > 5 and len({j for _, j in ring.tiles}) > 3
+            assert all((tile is None) == (cap == 0) for tile in ring.tiles.values())
+        assert_rows_match_rays(tiled)
+
+    def test_a_search_inside_one_tile_builds_one_tile_per_ring(self, monkeypatch):
+        blocked = np.zeros((300, 40), dtype=bool)
+        blocked[100, :] = True  # no cell past row 99 is reached
+        blocked[50, :30] = blocked[50, 33:] = True  # a gap of 3 cells: eLIAN descends
+        grid = Grid(blocked)
+        built = []
+
+        def counting_table(grid, rays):
+            built.append((grid.height, grid.width))
+            return sight_table(grid, rays)
+
+        monkeypatch.setattr(planner, "sight_table", counting_table)
+        out = search(grid, (5, 10), (35, 90), self.CFG)
+        assert out.verdict is Verdict.FOUND and out.stats.reinsertions > 0
+        assert sorted(grid.circle_tables) == [2, 4, 8]
+        assert all(list(ring.tiles) == [(0, 0)] for ring in grid.circle_tables.values())
+        # Tile (0, 0) and its margin: rows 0 to TILE + radius, all 40 columns.
+        assert sorted(built) == [(130, 40), (132, 40), (136, 40)]
+
+    def test_release_keeps_outcomes(self, monkeypatch):
+        monkeypatch.setattr(planner, "TILE", 3)
+        grid, pairs = tall_walled_grid()
+        before = [essence(search(grid, a, b, self.CFG)) for a, b in pairs]
+        release(grid)
+        assert all(not ring and not ring.tiles for ring in grid.circle_tables.values())
+        assert [essence(search(grid, a, b, self.CFG)) for a, b in pairs] == before
+        assert_rows_match_rays(grid)
 
 
 class TestSearch:
@@ -601,10 +705,11 @@ class TestSearch:
         assert sorted(grid.circle_tables) == [2, 4, 8]
         second = Search(grid, start, goal, cfg)
         second.run()
-        assert None not in first._rings
-        for level, ring in enumerate(first._rings):
-            assert second._rings[level] is ring
-            assert grid.circle_tables[ring[0]] is ring
+        assert None not in first._visits
+        for level, visit in enumerate(first._visits):
+            ring = visit[1]
+            assert second._visits[level][1] is ring
+            assert grid.circle_tables[ring.radius] is ring
 
     def test_degenerate_elian_equals_lian(self):
         rng = random.Random(5150)
