@@ -2,7 +2,6 @@
 
 from .geometry import circle_offsets, euclid, line_of_sight, turn_angle
 from .grids import (
-    Cell,
     Grid,
     InputError,
     Instance,
@@ -15,8 +14,6 @@ from .grids import (
     parse_scen,
 )
 from .planner import (
-    Outcome,
-    PathViolation,
     PlannerConfig,
     Search,
     SearchNode,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .grids import InputError, Instance, ParseError, load_map, load_scen
@@ -48,17 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--map", required=True, help="map file (.map or ASCII)")
     plan.add_argument("--start", required=True, help="start cell as COL,ROW")
     plan.add_argument("--goal", required=True, help="goal cell as COL,ROW")
-    # Planner flags are stored under PlannerConfig field names and default
-    # to None: a flag left out takes the field's own default.
-    plan.add_argument("--alg", dest="mode", choices=["lian", "elian"])
-    plan.add_argument("--delta-max", type=float)
-    plan.add_argument("--delta-min", type=float)
-    plan.add_argument("--k", type=float)
-    plan.add_argument("--angle", dest="alpha_max", metavar="ANGLE", type=float,
-                      help="alpha_max in degrees")
-    plan.add_argument("--hweight", dest="weight", metavar="HWEIGHT", type=float)
-    plan.add_argument("--timeout", dest="time_cap", metavar="TIMEOUT", type=float,
-                      help="seconds")
+    plan.add_argument("--config", default=None, metavar="JSON",
+                      help="planner config: one object of bench's --configs list")
     plan.add_argument("--svg", default=None, help="write an SVG drawing here")
 
     bench = sub.add_parser("bench", help="run scenario batches and aggregate")
@@ -72,33 +62,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError(f"{source}: JSON nested too deeply") from None
+    except ValueError as exc:  # bad JSON, or an integer of over 4,300 digits
+        raise InputError(f"{source}: {exc}") from None
+
+
 def _cmd_plan(args) -> int:
+    cfg = (PlannerConfig() if args.config is None
+           else PlannerConfig.from_dict(_parse_json(args.config, "--config")))
     grid = load_map(args.map)
-    cfg = PlannerConfig(**{
-        field.name: getattr(args, field.name) for field in fields(PlannerConfig)
-        if getattr(args, field.name, None) is not None
-    })
     instance = Instance(map_id=Path(args.map).name, start=_parse_cell(args.start), goal=_parse_cell(args.goal))
     record = run_instance(grid, instance, cfg)
-    lines = [
-        f"verdict: {record.verdict.value}",
-        f"algorithm: {record.algorithm}",
-        f"runtime_s: {record.runtime_s:.4f}",
-        f"expansions: {record.expansions}",
-        f"reinsertions: {record.reinsertions}",
-    ]
-    if record.verdict is Verdict.FOUND:
-        lines += [
-            f"path_length: {record.path_length:.4f}",
-            f"accumulated_angle_deg: {record.accumulated_angle_deg:.4f}",
-            "path: " + " ".join(f"{c},{r}" for c, r in record.path),
-        ]
     if args.svg:
         # Written before anything is printed: a path that cannot be written
         # ends in exit 3 with nothing on stdout.
         render_svg(grid, record.path, out=args.svg)
-        lines.append(f"svg: {args.svg}")
-    print("\n".join(lines))
+    print(json.dumps(record.to_dict()))
     return {Verdict.FOUND: EXIT_FOUND, Verdict.NOT_FOUND: EXIT_NOT_FOUND,
             Verdict.TIMEOUT: EXIT_TIMEOUT}[record.verdict]
 
@@ -107,13 +90,10 @@ def _load_configs(path: str | None) -> list[PlannerConfig]:
     if path is None:
         return DEFAULT_BENCH_CONFIGS
     try:
-        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise InputError(f"{path}: JSON nested too deeply") from None
-    except ValueError as exc:  # bad JSON, or an integer of over 4,300 digits
-        raise InputError(f"{path}: {exc}") from None
+    raw = _parse_json(text, path)
     if not isinstance(raw, list) or not raw:
         raise InputError("config file must hold a nonempty JSON list")
     return [PlannerConfig.from_dict(item) for item in raw]

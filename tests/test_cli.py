@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 import mapgen
 from anglepath.cli import main
-from anglepath.harness import read_records
+from anglepath.grids import Instance, load_map
+from anglepath.harness import RunRecord, read_records, run_instance
+from anglepath.planner import PlannerConfig
 
 
 @pytest.fixture
@@ -40,12 +43,12 @@ class TestPlan:
     def test_found_exit_zero(self, open_map, capsys):
         code = main([
             "plan", "--map", str(open_map), "--start", "5,20", "--goal", "25,20",
-            "--alg", "lian", "--delta-max", "20", "--angle", "25",
+            "--config", '{"mode": "lian", "delta_max": 20, "alpha_max": 25}',
         ])
-        out = capsys.readouterr().out
+        record = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert "verdict: found" in out
-        assert "path_length: 20.0000" in out
+        assert record["verdict"] == "found"
+        assert record["path_length"] == 20.0
 
     def test_svg_written(self, open_map, tmp_path, capsys):
         svg = tmp_path / "path.svg"
@@ -71,7 +74,7 @@ class TestPlan:
         code = main([
             "plan", "--map", str(path),
             "--start", f"{start[0]},{start[1]}", "--goal", f"{goal[0]},{goal[1]}",
-            "--alg", "lian", "--delta-max", "8", "--angle", "25",
+            "--config", '{"mode": "lian", "delta_max": 8, "alpha_max": 25}',
         ])
         assert code == 1
 
@@ -80,8 +83,8 @@ class TestPlan:
         code = main([
             "plan", "--map", str(path),
             "--start", f"{start[0]},{start[1]}", "--goal", f"{goal[0]},{goal[1]}",
-            "--alg", "elian", "--delta-max", "8", "--delta-min", "4", "--k", "0.5",
-            "--angle", "25",
+            "--config",
+            '{"mode": "elian", "delta_max": 8, "delta_min": 4, "k": 0.5, "alpha_max": 25}',
         ])
         assert code == 0
 
@@ -90,7 +93,7 @@ class TestPlan:
         big.write_text("type octile\nheight 150\nwidth 150\nmap\n" + "\n".join(["." * 150] * 150) + "\n")
         code = main([
             "plan", "--map", str(big), "--start", "2,2", "--goal", "140,140",
-            "--delta-max", "3", "--timeout", "0",
+            "--config", '{"delta_max": 3, "time_cap": 0}',
         ])
         assert code == 2
 
@@ -106,10 +109,63 @@ class TestPlan:
         # Below radius 1 the ladder would never end; the config is refused.
         t0 = time.perf_counter()
         code = main(["plan", "--map", str(open_map), "--start", "5,20", "--goal", "25,20",
-                     "--alg", "elian", "--delta-max", "20", "--delta-min", delta_min])
+                     "--config", f'{{"mode": "elian", "delta_max": 20, "delta_min": {delta_min}}}'])
+        captured = capsys.readouterr()
         assert code == 3
-        assert "delta_min" in capsys.readouterr().err
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "delta_min" in captured.err
         assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("config", [
+        {"mode": "lian", "delta_max": 8, "alpha_max": 25, "success_streak": 3, "label": "L8"},
+        {"mode": "elian", "delta_max": 8, "delta_min": 4, "k": 0.5, "alpha_max": 25,
+         "success_streak": 3, "label": "E84"},
+        None,
+    ], ids=["lian-8", "elian-8-4", "no-config"])
+    def test_prints_bench_record(self, corridor_map, capsys, config):
+        # plan's one line is the record bench writes for the same config;
+        # without --config, plan runs PlannerConfig().
+        path, start, goal = corridor_map
+        argv = ["plan", "--map", str(path),
+                "--start", f"{start[0]},{start[1]}", "--goal", f"{goal[0]},{goal[1]}"]
+        if config is not None:
+            argv += ["--config", json.dumps(config)]
+        main(argv)
+        line, = capsys.readouterr().out.splitlines()
+        cfg = PlannerConfig() if config is None else PlannerConfig.from_dict(config)
+        expected = run_instance(load_map(path), Instance(path.name, start, goal), cfg)
+        got = RunRecord.from_dict(json.loads(line))
+        assert replace(got, runtime_s=0.0) == replace(expected, runtime_s=0.0)
+        if config is not None:
+            assert got.algorithm == config["label"]
+            assert got.config["success_streak"] == 3
+
+    def test_help_names_config_only(self, capsys):
+        assert main(["plan", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--config" in out
+        for flag in ("--alg", "--delta-max", "--delta-min", "--k", "--angle", "--hweight",
+                     "--timeout"):
+            assert flag not in out
+
+    @pytest.mark.parametrize("config,fragment", [
+        ('{"mode": "lian",', "--config: Expecting"),
+        ("[1]", "must be a JSON object"),
+        ('{"mode": "lian", "bogus": 1}', "unknown config keys: ['bogus']"),
+        ('{"delta_max": NaN}', "delta_max must be finite"),
+        ('{"delta_max": 1e400}', "delta_max must be finite"),
+        ('{"delta_max": ' + "9" * 5000 + "}", "digits"),  # int() refuses it
+        ("[" * 100000, "nested too deeply"),  # RecursionError
+    ], ids=["malformed", "non-object", "unknown-key", "nan", "inf", "long-int", "deep"])
+    def test_bad_config_exit_three(self, open_map, capsys, config, fragment):
+        code = main(["plan", "--map", str(open_map), "--start", "5,20", "--goal", "25,20",
+                     "--config", config])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
 
     def test_missing_map_exit_three(self, tmp_path):
         code = main(["plan", "--map", str(tmp_path / "nope.map"), "--start", "0,0",
@@ -443,6 +499,16 @@ def flag_values(flags):
         lambda values: [part for n, v in zip(chosen, values) for part in (n, v)]))
 
 
+def config_texts(numbers):
+    """A strategy for ``plan --config`` texts, valid and not."""
+    keys = st.sampled_from([f.name for f in fields(PlannerConfig)] + ["bogus"])
+    values = st.one_of(numbers, st.sampled_from(['"lian"', '"elian"', '"x"']))
+    objects = st.lists(st.tuples(keys, values), max_size=3).map(
+        lambda items: "{" + ", ".join(f'"{k}": {v}' for k, v in items) + "}")
+    return st.one_of(objects, st.sampled_from(
+        ["[1]", '{"mode": "lian",', "NaN", '{"delta_max": NaN}', "[" * 100000]))
+
+
 def cli_argv(path):
     """A strategy for argv: a command and drawn flags, files named by ``path``."""
     maps = st.one_of(st.sampled_from(["open.map", "ascii.map", "walled.map"]),
@@ -452,9 +518,7 @@ def cli_argv(path):
     numbers = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(BAD_NUMBERS))
     cells = st.one_of(st.sampled_from(CELLS), st.sampled_from(BAD_CELLS))
     plan_flags = {
-        "--alg": st.sampled_from(["lian", "elian", "x"]),
-        "--delta-max": numbers, "--delta-min": numbers, "--k": numbers, "--angle": numbers,
-        "--hweight": numbers, "--timeout": numbers,
+        "--config": config_texts(numbers),
         "--svg": st.sampled_from(["out.svg", "no-dir/out.svg"]).map(path),
     }
     bench_flags = {
