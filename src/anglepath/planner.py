@@ -13,6 +13,7 @@ into LIAN.
 from __future__ import annotations
 
 import math
+import reprlib
 import time
 import weakref
 from dataclasses import dataclass, fields
@@ -60,13 +61,13 @@ def _check_number(name: str, value, integer: bool = False) -> None:
     # bool is an int subclass, but True is neither a count nor a distance.
     kind = "an integer" if integer else "a number"
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise InputError(f"{name} must be {kind}, got {value!r}")
+        raise InputError(f"{name} must be {kind}, got {reprlib.repr(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise InputError(f"{name} must be finite, got {value!r}")
+        raise InputError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,14 @@ class PlannerConfig:
 
     def __post_init__(self):
         if self.mode not in (LIAN, ELIAN):
-            raise InputError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {reprlib.repr(self.mode)}")
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", self.delta_max)
         for name in ("delta_max", "delta_min", "k", "alpha_max", "weight", "time_cap"):
             _check_number(name, getattr(self, name))
         _check_number("success_streak", self.success_streak, integer=True)
         if self.label is not None and not isinstance(self.label, str):
-            raise InputError(f"label must be a string, got {self.label!r}")
+            raise InputError(f"label must be a string, got {reprlib.repr(self.label)}")
         if not 1 <= self.delta_min <= self.delta_max:
             raise InputError("need 1 <= delta_min <= delta_max")
         if self.mode == LIAN and self.delta_min != self.delta_max:
@@ -132,11 +133,11 @@ class PlannerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PlannerConfig":
         if not isinstance(data, dict):
-            raise InputError(f"a config must be a JSON object, got {data!r}")
+            raise InputError(f"a config must be a JSON object, got {reprlib.repr(data)}")
         allowed = {f.name for f in fields(cls)}
         unknown = set(data) - allowed
         if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"unknown config keys: {reprlib.repr(sorted(unknown))}")
         return cls(**data)
 
 
@@ -293,9 +294,12 @@ class _Ring(dict):
     cells' rows of that table, in flat order, or to None when it walks. The
     ring reaches its grid through a weak proxy, so a grid and its rings are
     freed as soon as the grid is dropped.
+
+    ``picks`` is the ring's _Picks: expand() reads the targets of a sight
+    pattern, a row ANDed with a window, from it as one tuple.
     """
 
-    __slots__ = ("radius", "steps", "rays", "full", "size", "grid", "tiles")
+    __slots__ = ("radius", "steps", "rays", "full", "size", "grid", "tiles", "picks")
 
     def __init__(self, grid: Grid, radius: int):
         width, height = grid.width, grid.height
@@ -310,6 +314,7 @@ class _Ring(dict):
         self.size = (len(circle) + 7) // 8  # bytes per table row
         self.grid = weakref.proxy(grid)
         self.tiles: dict = {}
+        self.picks = _Picks(self.steps)
 
     def tile(self, index: tuple[int, int]) -> bytes | None:
         # The tile's entry in ``tiles``, built on the first call.
@@ -340,6 +345,25 @@ class _Ring(dict):
             bits = _from_bytes(tile[at:at + self.size], "little")
         self[flat] = bits
         return bits
+
+
+class _Picks(dict):
+    """Sight patterns to their steps: bits -> the tuple of ``steps[j]`` for
+    each set bit j, low bit first, built on the pattern's first lookup."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple):
+        self.steps = steps
+
+    def __missing__(self, bits: int) -> tuple:
+        picked, rest = [], bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            picked.append(self.steps[low.bit_length() - 1])
+        picked = self[bits] = tuple(picked)
+        return picked
 
 
 def _rays(offsets, width: int, height: int) -> tuple:
@@ -374,11 +398,12 @@ def prepare(grid: Grid, cfg: PlannerConfig) -> None:
 
 
 def release(grid: Grid) -> None:
-    """Drop the sight rows and tile tables of the grid's rings; searches
-    there fill them again, with the same results."""
+    """Drop the sight rows, tile tables and pattern tuples of the grid's
+    rings; searches there fill them again, with the same results."""
     for ring in grid.circle_tables.values():
         ring.clear()
         ring.tiles.clear()
+        ring.picks.clear()
 
 
 class Search:
@@ -405,10 +430,11 @@ class Search:
 
     Per ladder level, ``_visits`` keeps the record a level visit of
     expand() reads, built by _visit() on the level's first expansion:
-    ``(steps, ring, arc_windows, delta, radius)``. arc_windows is
-    geometry.arc_windows() of the radius and alpha_max, the heading -> arc
-    window map shared by every search in the process; expand() reads
-    windows from it and stores arc_window()'s answer on a miss.
+    ``(steps, ring, picks, arc_windows, delta, radius)``, steps and picks
+    the ring's own. arc_windows is geometry.arc_windows() of the radius
+    and alpha_max, the heading -> arc window map shared by every search in
+    the process; expand() reads windows from it and stores arc_window()'s
+    answer on a miss.
     ``_consts`` holds what every expand() call reads and no search changes:
     ``(grid, goal, ladder length, stats, width, height, key base, weight,
     closed, open)``, the last two the very objects of ``closed`` and
@@ -451,7 +477,7 @@ class Search:
         radius = max(1, round(delta))
         ring = _circle_ring(self.grid, radius)
         visit = self._visits[level] = (
-            ring.steps, ring, arc_windows(radius, self.cfg.alpha_max), delta, radius)
+            ring.steps, ring, ring.picks, arc_windows(radius, self.cfg.alpha_max), delta, radius)
         return visit
 
     def expand(self, node: SearchNode) -> None:
@@ -472,10 +498,11 @@ class Search:
         the ring fills on the cell's first visit at that radius (see
         _Ring). Keys, g and the
         ``_queued`` entry are looked at only once the arc has visible
-        targets or the goal is in reach. Survivors whose identity was
-        already expanded are dropped; the rest are pushed as lazy entries
-        (see the class docstring) as the scan finds them, in offset order,
-        the goal last. An entry's -g is ``-node.g - step`` and its f is
+        targets or the goal is in reach. The arc's targets are the ring's
+        ``picks`` tuple of its sight pattern, in offset order. Survivors
+        whose identity was already expanded are dropped; the rest are
+        pushed as lazy entries (see the class docstring) in that order, the
+        goal last. An entry's -g is ``-node.g - step`` and its f is
         ``weight * h - (-g)``: bit for bit the ``-(g + step)`` and ``g +
         weight * h`` of the definition, as negation is exact and rounding
         is symmetric in sign, with one float fewer per push. They differ
@@ -511,7 +538,7 @@ class Search:
         visits = self._visits
         level, descents = node.level, 0
         while True:
-            targets, rows, arcs, delta, radius = visits[level] or self._visit(level)
+            targets, rows, picks, arcs, delta, radius = visits[level] or self._visit(level)
             bits = 0
             if targets:
                 if parent is None:
@@ -552,17 +579,12 @@ class Search:
                         skip = bits & done[1]
                         mask = done[1] | bits
                         bits ^= skip
-                        while skip:
-                            low = skip & -skip
-                            skip ^= low
-                            if key0 + targets[low.bit_length() - 1][3] not in closed:
+                        for target in picks[skip]:
+                            if key0 + target[3] not in closed:
                                 dominated += 1
                     else:
                         mask = bits
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        dc, dr, step, shift = targets[low.bit_length() - 1]
+                    for dc, dr, step, shift in picks[bits]:
                         key = key0 + shift
                         if key not in closed:
                             seq += 1

@@ -157,7 +157,11 @@ class TestPlan:
         ('{"delta_max": 1e400}', "delta_max must be finite"),
         ('{"delta_max": ' + "9" * 5000 + "}", "digits"),  # int() refuses it
         ("[" * 100000, "nested too deeply"),  # RecursionError
-    ], ids=["malformed", "non-object", "unknown-key", "nan", "inf", "long-int", "deep"])
+        # A long bad value is echoed shortened, not whole.
+        ("[" + ",".join(map(str, range(1, 20001))) + "]", "must be a JSON object"),
+        ('{"mode": "' + "x" * 100000 + '"}', "unknown mode 'xxx"),
+    ], ids=["malformed", "non-object", "unknown-key", "nan", "inf", "long-int", "deep",
+            "long-list", "long-mode"])
     def test_bad_config_exit_three(self, open_map, capsys, config, fragment):
         code = main(["plan", "--map", str(open_map), "--start", "5,20", "--goal", "25,20",
                      "--config", config])
@@ -165,6 +169,7 @@ class TestPlan:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 300
         assert fragment in captured.err
 
     def test_missing_map_exit_three(self, tmp_path):

@@ -582,7 +582,7 @@ class TestPrepare:
         assert grid.circle_tables == rings
         for radius, ring in grid.circle_tables.items():
             assert ring is rings[radius] and (ring.steps, ring.rays) == steps[radius]
-            assert not ring and ring.tiles == {}
+            assert not ring and ring.tiles == {} and ring.picks == {}
         assert essence(search(grid, start, goal, cfg)) == essence(
             search(Grid(grid.blocked), start, goal, cfg))
 
@@ -659,10 +659,38 @@ class TestSightRows:
         monkeypatch.setattr(planner, "TILE", 3)
         grid, pairs = tall_walled_grid()
         before = [essence(search(grid, a, b, self.CFG)) for a, b in pairs]
+        assert all(ring.picks for ring in grid.circle_tables.values())
         release(grid)
-        assert all(not ring and not ring.tiles for ring in grid.circle_tables.values())
+        assert all(not ring and not ring.tiles and not ring.picks
+                   for ring in grid.circle_tables.values())
         assert [essence(search(grid, a, b, self.CFG)) for a, b in pairs] == before
         assert_rows_match_rays(grid)
+
+
+class TestSightPatterns:
+    """A ring's ``picks`` maps each sight pattern expand() read to the ring's
+    steps of its set bits, low bit first: the order children are pushed in."""
+
+    def test_patterns_hold_their_steps_low_bit_first(self):
+        blocked = mapgen.building_blocked(4)
+        grids = [Grid(blocked)]
+        for alpha in (25, 90):
+            cfg = dataclasses.replace(elian_cfg(), alpha_max=alpha)
+            for inst in mapgen.hard_instances(blocked, "b4", 4, seed=20):
+                search(grids[0], inst.start, inst.goal, cfg)
+        for grid, start, goal in mapgen.corridor_suite():
+            for cfg in (PlannerConfig(mode="lian", delta_max=8), elian_cfg(dmax=8, dmin=4)):
+                search(grid, start, goal, cfg)
+            grids.append(grid)
+        patterns = 0
+        for grid in grids:
+            for ring in grid.circle_tables.values():
+                steps = ring.steps
+                assert ring.picks.steps is steps
+                for bits, picked in ring.picks.items():
+                    assert picked == tuple(steps[j] for j in range(len(steps)) if bits >> j & 1)
+                    patterns += bits.bit_count() > 1
+        assert patterns > 900  # 1,003 patterns of two or more targets
 
 
 class TestSearch:
