@@ -3,8 +3,9 @@
 Cells are unit squares centered on integer (col, row) coordinates. All
 predicates here are exact: the segment layout and the circle rasterizer
 use integer arithmetic only, so results are identical across platforms.
-The turn test, turn_bits(), is the one floating-point predicate; arc_window
-and the planner's goal test both call it, so they agree bit for bit.
+The turn test, turn_ok(), is the one floating-point predicate; turn_bits()
+runs it over a tuple of offsets for arc_window(), and the planner's goal
+test calls it on the goal's offset, so they agree bit for bit.
 
 A segment is tested as a ray: ray() lays out the cells it crosses, in
 closed form, as row or column runs, each read from the grid's free-run
@@ -94,28 +95,33 @@ def circle_offsets(radius: int) -> tuple[Offset, ...]:
 def turn_cos_threshold(alpha_max: float) -> float:
     """Cosine bound equivalent to turn_angle(...) <= alpha_max + ANGLE_EPS_DEG.
 
-    turn_bits() compares against it, which avoids an acos per candidate. At
+    turn_ok() compares against it, which avoids an acos per candidate. At
     180 degrees every move is admissible.
     """
     bound = alpha_max + ANGLE_EPS_DEG
     return math.cos(math.radians(bound)) if bound < 180.0 else -2.0
 
 
-def turn_bits(hx: int, hy: int, offsets: tuple[Offset, ...], threshold: float) -> int:
-    """Which moves of ``offsets`` may follow the heading (hx, hy), as bits.
+def turn_ok(hx: int, hy: int, dc: int, dr: int, threshold: float) -> bool:
+    """Whether the move (dc, dr) may follow the heading (hx, hy).
 
-    Bit j is set iff offsets[j] = (dc, dr) passes the turn test at
-    threshold = turn_cos_threshold(alpha_max):
+    True iff, at threshold = turn_cos_threshold(alpha_max),
     ``hx*dc + hy*dr >= threshold * hypot(hx, hy) * hypot(dc, dr)``, or the
     move continues the heading exactly (collinear, same direction). The
     second clause is exact integer arithmetic: at alpha_max = 0 rounding
     alone rejects such moves, since hypot(2, 1) ** 2 is 5.000000000000001.
     """
-    scale = threshold * math.hypot(hx, hy)  # the product's first factor
+    dot = hx * dc + hy * dr
+    return (dot >= threshold * math.hypot(hx, hy) * math.hypot(dc, dr)
+            or (hx * dr == hy * dc and dot > 0))
+
+
+def turn_bits(hx: int, hy: int, offsets: tuple[Offset, ...], threshold: float) -> int:
+    """Which moves of ``offsets`` may follow the heading (hx, hy), as bits:
+    bit j is set iff turn_ok() passes offsets[j]."""
     bits = 0
     for j, (dc, dr) in enumerate(offsets):
-        if (hx * dc + hy * dr >= scale * math.hypot(dc, dr)
-                or (hx * dr == hy * dc and hx * dc + hy * dr > 0)):
+        if turn_ok(hx, hy, dc, dr, threshold):
             bits |= 1 << j
     return bits
 
@@ -127,9 +133,12 @@ ARC_SLACK = 1e-4
 
 
 @lru_cache(maxsize=None)
-def _by_angle(offsets: tuple[Offset, ...]) -> tuple[list[float], list[int], list[int]]:
-    # The offsets' indices in atan2 order, three times round from -3*pi, with
-    # their angles and the xor of 1 << index over each prefix of that order.
+def _by_angle(radius: int) -> tuple[list[float], list[int], list[int]]:
+    # The indices of circle_offsets(radius) in atan2 order, three times round
+    # from -3*pi, with their angles and the xor of 1 << index over each
+    # prefix of that order. Keyed by radius: hashing the offsets on every
+    # call would cost a third of an arc_window() call.
+    offsets = circle_offsets(radius)
     order = sorted(range(len(offsets)), key=lambda j: math.atan2(offsets[j][1], offsets[j][0]))
     angles = [math.atan2(offsets[j][1], offsets[j][0]) for j in order]
     angles = [a + turn for turn in (-2 * math.pi, 0.0, 2 * math.pi) for a in angles]
@@ -153,7 +162,7 @@ def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
     threshold = turn_cos_threshold(alpha_max)
     if threshold < -1.0:
         return (1 << len(offsets)) - 1
-    angles, order, prefix = _by_angle(offsets)
+    angles, order, prefix = _by_angle(radius)
     heading, half = math.atan2(hy, hx), math.acos(threshold)
     lo, b, c, hi = (bisect_left(angles, heading + edge) for edge in (
         -half - ARC_SLACK, -half + ARC_SLACK, half - ARC_SLACK, half + ARC_SLACK))

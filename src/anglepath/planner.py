@@ -35,8 +35,8 @@ from .geometry import (
     sight_bits,
     sight_table,
     turn_angle,
-    turn_bits,
     turn_cos_threshold,
+    turn_ok,
 )
 from .grids import Cell, Grid, InputError
 
@@ -57,17 +57,29 @@ class Verdict(str, Enum):
     TIMEOUT = "timeout"
 
 
+class _Repr(reprlib.Repr):
+    # repr() refuses an int of more than sys.get_int_max_str_digits() digits
+    # and takes quadratic time below that: a long int is shown by its size.
+    def repr_int(self, x, level):
+        if x.bit_length() > 1000:
+            return f"<int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+_show = _Repr().repr  # reprlib.repr for error messages
+
+
 def _check_number(name: str, value, integer: bool = False) -> None:
     # bool is an int subclass, but True is neither a count nor a distance.
     kind = "an integer" if integer else "a number"
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise InputError(f"{name} must be {kind}, got {reprlib.repr(value)}")
+        raise InputError(f"{name} must be {kind}, got {_show(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise InputError(f"{name} must be finite, got {reprlib.repr(value)}")
+        raise InputError(f"{name} must be finite, got {_show(value)}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +106,14 @@ class PlannerConfig:
 
     def __post_init__(self):
         if self.mode not in (LIAN, ELIAN):
-            raise InputError(f"unknown mode {reprlib.repr(self.mode)}")
+            raise InputError(f"unknown mode {_show(self.mode)}")
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", self.delta_max)
         for name in ("delta_max", "delta_min", "k", "alpha_max", "weight", "time_cap"):
             _check_number(name, getattr(self, name))
         _check_number("success_streak", self.success_streak, integer=True)
         if self.label is not None and not isinstance(self.label, str):
-            raise InputError(f"label must be a string, got {reprlib.repr(self.label)}")
+            raise InputError(f"label must be a string, got {_show(self.label)}")
         if not 1 <= self.delta_min <= self.delta_max:
             raise InputError("need 1 <= delta_min <= delta_max")
         if self.mode == LIAN and self.delta_min != self.delta_max:
@@ -133,11 +145,11 @@ class PlannerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PlannerConfig":
         if not isinstance(data, dict):
-            raise InputError(f"a config must be a JSON object, got {reprlib.repr(data)}")
+            raise InputError(f"a config must be a JSON object, got {_show(data)}")
         allowed = {f.name for f in fields(cls)}
         unknown = set(data) - allowed
         if unknown:
-            raise InputError(f"unknown config keys: {reprlib.repr(sorted(unknown))}")
+            raise InputError(f"unknown config keys: {_show(sorted(unknown))}")
         return cls(**data)
 
 
@@ -279,8 +291,10 @@ class _Ring(dict):
     Step j is (dcol, drow, hypot, key shift) of offset j of
     circle_offsets(radius); rays[j] is (dcol, drow, ray), the ray None if
     the offset lands in the grid from no cell; ``full`` is ``(1 << n) - 1``
-    for the n offsets. A circle of radius >= 2 * max(width, height) lies
-    farther out than any two cells are apart: its ring has no offsets.
+    for the n offsets, and ``offsets`` their frozenset, which tells expand()
+    in O(1) whether the goal is a circle target. A circle of radius >= 2 *
+    max(width, height) lies farther out than any two cells are apart: its
+    ring has no offsets.
 
     As a dict, the ring maps a cell's flat index to its sight row: bit j is
     set iff offset j's target lies in the grid and in sight of the cell, as
@@ -299,7 +313,7 @@ class _Ring(dict):
     pattern, a row ANDed with a window, from it as one tuple.
     """
 
-    __slots__ = ("radius", "steps", "rays", "full", "size", "grid", "tiles", "picks")
+    __slots__ = ("radius", "steps", "rays", "full", "offsets", "size", "grid", "tiles", "picks")
 
     def __init__(self, grid: Grid, radius: int):
         width, height = grid.width, grid.height
@@ -311,6 +325,7 @@ class _Ring(dict):
         )
         self.rays = _rays(circle, width, height)
         self.full = (1 << len(circle)) - 1
+        self.offsets = frozenset(circle)
         self.size = (len(circle) + 7) // 8  # bytes per table row
         self.grid = weakref.proxy(grid)
         self.tiles: dict = {}
@@ -438,7 +453,9 @@ class Search:
     ``_consts`` holds what every expand() call reads and no search changes:
     ``(grid, goal, ladder length, stats, width, height, key base, weight,
     closed, open)``, the last two the very objects of ``closed`` and
-    ``open``.
+    ``open``. ``_goal_sight`` maps a cell's flat index to
+    line_of_sight(cell, goal), filled by expand() on the cell's first goal
+    test that passes the turn; a search walks the goal ray from a cell once.
     """
 
     def __init__(self, grid: Grid, start: Cell, goal: Cell, cfg: PlannerConfig):
@@ -469,6 +486,7 @@ class Search:
         self._visits: list = [None] * len(self.levels)
         # Per ladder level: a cell's flat index -> (g, offsets queued), see expand().
         self._queued: list = [{} for _ in self.levels]
+        self._goal_sight: dict = {}  # flat -> line_of_sight(cell, goal), see expand()
 
     def _visit(self, level: int) -> tuple:
         # A ladder level's visit record (see the class docstring) over the
@@ -490,8 +508,15 @@ class Search:
         Candidates are the in-bounds cells of the discrete circle at the
         node's delta whose turn from the node's heading stays within
         alpha_max (all of them for the start node, which has no heading),
-        plus the goal when it is closer than delta and within the turn
-        limit. The heading's window is read from the level's shared
+        plus the goal when it is closer than delta, within the turn limit
+        and in sight. Neither answer depends on the level, so the call
+        tests the goal once, at the first level whose delta exceeds the
+        goal's distance, and reuses the answer at the levels it descends
+        to while that holds: one turn_ok() on the goal's offset, then line
+        of sight read from the search's ``_goal_sight`` memo, walked on the
+        cell's first test. A call far from the goal tests nothing. A goal
+        that is a circle offset (``ring.offsets``) is left to the scan.
+        The heading's window is read from the level's shared
         arc_windows() map, or on a miss computed by arc_window() and stored
         there. Bounds and line of sight for the offsets in that window
         are the window ANDed with the cell's sight row in the ring, which
@@ -535,6 +560,7 @@ class Search:
         gdc, gdr = goal[0] - col, goal[1] - row
         dg = hypot(gdc, gdr)
         flat = row * width + col
+        reach = None  # the goal test, made on the first level with dg < delta
         visits = self._visits
         level, descents = node.level, 0
         while True:
@@ -548,9 +574,14 @@ class Search:
                     if need is None:
                         need = arcs[heading] = arc_window(radius, hx, hy, self.cfg.alpha_max)
                 bits = rows[flat] & need
-            reach = dg < delta and (
-                parent is None or turn_bits(hx, hy, ((gdc, gdr),), self._cos_threshold)
-            ) and line_of_sight(grid, cell, goal)
+            if dg >= delta:  # and at every later level: delta falls down the ladder
+                reach = False
+            elif reach is None:  # the turn and sight answers hold at every level
+                reach = parent is None or turn_ok(hx, hy, gdc, gdr, self._cos_threshold)
+                if reach:
+                    reach = self._goal_sight.get(flat)
+                    if reach is None:
+                        reach = self._goal_sight[flat] = line_of_sight(grid, cell, goal)
             if bits or reach:
                 ident = col * height + row
                 key0 = ident * base + ident + 1  # a child's key less its offset's shift
@@ -597,7 +628,7 @@ class Search:
                 if reach:
                     shift = (gdc * height + gdr) * base
                     key = key0 + shift
-                    if key not in closed and (gdc, gdr, dg, shift) not in targets:
+                    if key not in closed and (gdc, gdr) not in rows.offsets:
                         seq += 1
                         ng = ng0 - dg
                         heappush(open_, (-ng, ng, key, seq, node, child_level))  # h is 0

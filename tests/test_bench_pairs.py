@@ -108,3 +108,37 @@ class TestJudge:
         assert verdict(LOWER, PARENT, [v - 5 for v in PARENT])["held"]
         assert not verdict(LOWER, PARENT, [v + 5 for v in PARENT])["held"]
         assert not verdict(LOWER, PARENT, [v - 4 for v in PARENT])["held"]
+
+
+class TestBenchWorkload:
+    @staticmethod
+    def fake_run(digests):
+        """run_once() stand-in: each side its own source digest, and at each
+        seed the records digest ``digests[side](seed)``."""
+        def run_once(checkout, workload, seed, seconds):
+            side = str(checkout)
+            return {"failed": 0, "attempted": 3,
+                    "metrics": {"searches_per_s": {"value": 10.0 + seed}},
+                    "environment": {"src_sha256": f"src-{side}",
+                                    "records_sha256": digests[side](seed)}}
+        return run_once
+
+    def run(self, monkeypatch, digests):
+        monkeypatch.setattr(bench_pairs, "run_once", self.fake_run(digests))
+        checkouts = {side: Path(side) for side in bench_pairs.SIDES}
+        return bench_pairs.bench_workload(checkouts, [HIGHER], "w", 7, 3, 1.0)
+
+    def test_checks_hold_each_seeds_records_digest(self, monkeypatch):
+        same = {side: lambda seed: f"records-{seed}" for side in bench_pairs.SIDES}
+        entry, _ = self.run(monkeypatch, same)
+        assert entry["seeds"] == [7, 8, 9]
+        assert entry["checks"]["records_sha256"] == ["records-7", "records-8", "records-9"]
+        assert entry["checks"]["records_equal"] and entry["checks"]["failed"] == 0
+        assert (entry["checks"]["src_sha256_parent"], entry["checks"]["src_sha256_change"]) == (
+            "src-parent", "src-change")
+
+    def test_differing_records_stop_the_tool(self, monkeypatch):
+        digests = {"parent": lambda seed: f"records-{seed}",
+                   "change": lambda seed: f"records-{seed}" if seed < 8 else "other"}
+        with pytest.raises(SystemExit, match="w seed 8: records differ"):
+            self.run(monkeypatch, digests)

@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anglepath import (
@@ -83,6 +84,48 @@ class TestTurnAngle:
         )
         assert moved == pytest.approx(base, abs=1e-9)
         assert scaled == pytest.approx(base, abs=1e-9)
+
+
+# Nonzero integer steps, as headings and moves.
+STEPS = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(lambda step: step != (0, 0))
+
+
+class TestTurnOk:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        case=STEPS.flatmap(lambda heading: st.tuples(st.just(heading), st.one_of(
+            STEPS,
+            # Straight on and reversed: multiples of the heading.
+            st.sampled_from([-3, -2, -1, 1, 2, 3]).map(
+                lambda k: (k * heading[0], k * heading[1])),
+        ))),
+        alpha=st.one_of(st.sampled_from([0.0, 45.0, 90.0, 180.0]), st.floats(0.0, 180.0)),
+    )
+    @example(case=((2, 1), (2, 1)), alpha=0.0)  # straight on, rounding rejects it
+    @example(case=((2, 1), (4, 2)), alpha=0.0)
+    @example(case=((2, 1), (-2, -1)), alpha=180.0)  # reversed
+    @example(case=((2, 1), (-2, -1)), alpha=179.999)
+    @example(case=((1, 0), (1, 1)), alpha=45.0)  # on the arc's edge
+    @example(case=((1, 0), (0, -1)), alpha=90.0)
+    @example(case=((3, 4), (4, 3)), alpha=16.260204708311957)
+    def test_equals_turn_bits_on_one_offset(self, case, alpha):
+        (hx, hy), (dc, dr) = case
+        threshold = turn_cos_threshold(alpha)
+        ok = geometry.turn_ok(hx, hy, dc, dr, threshold)
+        assert ok is (geometry.turn_bits(hx, hy, ((dc, dr),), threshold) == 1)
+        assert ok is turn_ok(hx, hy, dc, dr, threshold)  # the oracle's copy
+
+    @pytest.mark.parametrize("heading, move, alpha, ok", [
+        ((2, 1), (2, 1), 0.0, True),
+        ((2, 1), (3, 1), 0.0, False),
+        ((2, 1), (-2, -1), 179.999, False),
+        ((2, 1), (-2, -1), 180.0, True),
+        ((1, 0), (1, 1), 45.0, True),
+        ((1, 0), (0, 1), 90.0, True),
+        ((1, 0), (-1, 1), 90.0, False),
+    ])
+    def test_boundary_moves(self, heading, move, alpha, ok):
+        assert geometry.turn_ok(*heading, *move, turn_cos_threshold(alpha)) is ok
 
 
 class TestCircleOffsets:
@@ -214,6 +257,10 @@ class TestArcWindow:
         # admissible offsets are not one run of it.
         scrambled = ((-2, 0), (2, 0), (0, 2), (2, 1))
         monkeypatch.setattr(geometry, "circle_offsets", lambda radius: scrambled)
+        # _by_angle is cached by radius: the scrambled circle gets a cache of
+        # its own, dropped with the patch.
+        fresh = functools.lru_cache(geometry._by_angle.__wrapped__)
+        monkeypatch.setattr(geometry, "_by_angle", fresh)
         assert arc_window(2, 1, 0, 30.0) == 0b1010
 
 

@@ -94,9 +94,23 @@ class TestConfig:
         with pytest.raises(InputError):
             PlannerConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [
+        "mode", "delta_max", "delta_min", "k", "alpha_max", "weight", "time_cap",
+        "success_streak", "label",
+    ])
+    def test_huge_ints_rejected_with_short_messages(self, name):
+        # repr() refuses an int of more than 4300 digits; the message names
+        # its size instead.
+        with pytest.raises(InputError) as caught:
+            PlannerConfig(**{name: 10**5000})
+        assert len(str(caught.value).encode()) < 200
+        assert "16610 bits" in str(caught.value)
+
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(InputError):
             PlannerConfig.from_dict([["mode", "lian"]])
+        with pytest.raises(InputError, match="16610 bits"):
+            PlannerConfig.from_dict(10**5000)
 
     def test_round_trip_dict(self):
         cfg = PlannerConfig(mode="elian", delta_max=20, delta_min=5, alpha_max=30)
@@ -361,6 +375,71 @@ class TestExpand:
         s2.expand(node2)
         second = {cell for cell, _, _, _, _ in open_entries(s2)}
         assert second == first - {(40, 20)}
+
+
+class TestGoalTest:
+    """expand() tests the goal once per call: at most one turn test, and
+    one sight walk per cell and search."""
+
+    def cases(self):
+        # At the parent commit, the first walks the goal ray up to three
+        # times from one cell and the second tests one turn twice in a call.
+        blocked = mapgen.building_blocked(4)
+        cfg = PlannerConfig(mode="elian", delta_max=12, delta_min=3, k=0.5, alpha_max=60)
+        for inst in mapgen.hard_instances(blocked, "b4", 2, seed=3):
+            yield Grid(blocked), inst.start, inst.goal, cfg
+
+    @pytest.mark.parametrize("delta, move, extra", [
+        (20, (19, 6), 0),  # hypot 19.92: on the radius-20 circle, inside delta
+        (4.5, (4, 1), 0),  # radius round(4.5) = 4
+        (20, (10, 3), 1),  # on no circle: queued after the arc
+    ])
+    def test_goal_on_the_circle_is_queued_once(self, delta, move, extra):
+        s = Search(empty_grid(61), (30, 30), (30 + move[0], 30 + move[1]),
+                   PlannerConfig(mode="lian", delta_max=delta, alpha_max=25))
+        parent = SearchNode((30 - move[0], 30 - move[1]), None, 0.0, 0.0, 0)
+        s.expand(SearchNode((30, 30), parent, 0.0, 0.0, 0))
+        arc = geometry.arc_window(max(1, round(delta)), *move, 25)
+        children = [cell for cell, _, _, _, _ in open_entries(s)]
+        assert children.count(s.goal) == 1
+        assert s._seq == s.stats.generated == bin(arc).count("1") + extra
+
+    def test_goal_ray_walked_once_per_cell_and_search(self, monkeypatch):
+        walks = []
+        real = planner.line_of_sight
+
+        def line_of_sight(grid, a, b):
+            walks.append((a, b))
+            return real(grid, a, b)
+
+        monkeypatch.setattr(planner, "line_of_sight", line_of_sight)
+        for grid, start, goal, cfg in self.cases():
+            del walks[:]
+            first = search(grid, start, goal, cfg)
+            n = len(walks)
+            assert n > 0 and {b for _, b in walks} == {goal}
+            assert len({a for a, _ in walks}) == n
+            second = search(grid, start, goal, cfg)  # a new memo: it walks again
+            assert walks[n:] == walks[:n] and second.path == first.path
+
+    def test_one_goal_turn_test_per_expand_call(self, monkeypatch):
+        turns, per_call = [], []
+        real_turn, real_expand = planner.turn_ok, Search.expand
+
+        def turn_ok(*args):
+            turns.append(args)
+            return real_turn(*args)
+
+        def expand(search, node):
+            before = len(turns)
+            real_expand(search, node)
+            per_call.append(len(turns) - before)
+
+        monkeypatch.setattr(planner, "turn_ok", turn_ok)
+        monkeypatch.setattr(Search, "expand", expand)
+        for grid, start, goal, cfg in self.cases():
+            assert search(grid, start, goal, cfg).verdict is Verdict.FOUND
+        assert max(per_call) == 1 and sum(per_call) == len(turns)
 
 
 class TestExpandMatchesFullScan:

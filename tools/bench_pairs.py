@@ -20,8 +20,8 @@ the change is committed and ``--parent-rev`` is left at HEAD.
 The output file holds, per workload, each run's end-to-end metrics (as
 BENCHMARK.json lists them) and, per metric, the median and quartiles
 (inclusive method) of each side, the relative change of the medians and
-the pairs the change won and lost, and each side's source digest; it is
-written again after each workload. ``--claim
+the pairs the change won and lost, each side's source digest and the
+records digest of each seed; it is written again after each workload. ``--claim
 WORKLOAD:METRIC`` adds whether that metric's gain holds: the change won at
 least nine tenths of the pairs and its median is better than the
 parent's by more than the parent's interquartile range. Standard library
@@ -168,6 +168,8 @@ def bench_workload(checkouts: dict[str, Path], metrics: list[dict], workload: st
             "correct": True,
             "failed": sum(r["failed"] for side in SIDES for r in results[side]),
             "records_equal": True,
+            # Equal on both sides at each seed, checked above: one list serves.
+            "records_sha256": [r["environment"]["records_sha256"] for r in results["change"]],
             **{f"src_sha256_{side}": results[side][-1]["environment"]["src_sha256"]
                for side in SIDES},
             **{f"attempted_{side}": [r["attempted"] for r in results[side]] for side in SIDES},
