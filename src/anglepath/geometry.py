@@ -3,17 +3,17 @@
 Cells are unit squares centered on integer (col, row) coordinates. All
 predicates here are exact: the segment layout and the circle rasterizer
 use integer arithmetic only, so results are identical across platforms.
-The turn test, turn_ok(), is the one floating-point predicate; turn_bits()
-runs it over a tuple of offsets for arc_window(), and the planner's goal
-test calls it on the goal's offset, so they agree bit for bit.
+The turn test, turn_ok(), is the one floating-point predicate and the one
+turn test: arc_window() runs it on the offsets near its window's edges,
+and the planner's goal test on the goal's offset, so they agree bit for
+bit.
 
 A segment is tested as a ray: ray() lays out the cells it crosses, in
 closed form, as row or column runs, each read from the grid's free-run
 tables (a run is free when the table entry at its first cell covers its
 length), plus the corner pairs it pinches. sight_bits() runs this test
-from one cell over the rays a bitmask selects, such as the delta-circle
-offsets one expansion may move to, answering with a bitmask;
-line_of_sight() asks it for a single ray. sight_table() runs the same test
+from one cell over every ray it is given, answering with a bitmask;
+line_of_sight() gives it a single ray. sight_table() runs the same test
 from every cell of the grid at once, a bit per cell, and keeps a row of
 answers per cell; the planner runs it on square tiles of the grid, each cut
 with a margin as wide as the circle, and keeps per grid and radius the rows
@@ -116,18 +116,8 @@ def turn_ok(hx: int, hy: int, dc: int, dr: int, threshold: float) -> bool:
             or (hx * dr == hy * dc and dot > 0))
 
 
-def turn_bits(hx: int, hy: int, offsets: tuple[Offset, ...], threshold: float) -> int:
-    """Which moves of ``offsets`` may follow the heading (hx, hy), as bits:
-    bit j is set iff turn_ok() passes offsets[j]."""
-    bits = 0
-    for j, (dc, dr) in enumerate(offsets):
-        if turn_ok(hx, hy, dc, dr, threshold):
-            bits |= 1 << j
-    return bits
-
-
 # arc_window() leaves every offset this close (radians) to an edge of its
-# window to turn_bits(). An offset farther in or out passes or fails the
+# window to turn_ok(). An offset farther in or out passes or fails the
 # cosine test by at least 1 - cos(ARC_SLACK) = 5e-9, far above its rounding.
 ARC_SLACK = 1e-4
 
@@ -152,11 +142,12 @@ def _by_angle(radius: int) -> tuple[list[float], list[int], list[int]]:
 def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
     """The circle offsets a move with heading (hx, hy) may turn to, as bits.
 
-    Bit j is set iff offset j of circle_offsets(radius) passes turn_bits()
+    Bit j is set iff offset j of circle_offsets(radius) passes turn_ok()
     at turn_cos_threshold(alpha_max). The window is the offsets within
     acos(threshold) of the heading's angle, found by bisection on the
     circle's offsets sorted by angle: those more than ARC_SLACK inside its
-    edges pass, and turn_bits() decides those within ARC_SLACK of them.
+    edges pass, and turn_ok() decides each of those within ARC_SLACK of
+    them.
     """
     offsets = circle_offsets(radius)
     threshold = turn_cos_threshold(alpha_max)
@@ -170,9 +161,8 @@ def arc_window(radius: int, hx: int, hy: int, alpha_max: float) -> int:
         bits, edges = prefix[c] ^ prefix[b], order[lo:b] + order[c:hi]
     else:
         bits, edges = 0, order[lo:hi]
-    passed = turn_bits(hx, hy, tuple(offsets[j] for j in edges), threshold)
-    for t, j in enumerate(edges):
-        if passed >> t & 1:
+    for j in edges:
+        if turn_ok(hx, hy, *offsets[j], threshold):
             bits |= 1 << j
     return bits
 
@@ -257,28 +247,24 @@ def line_of_sight(grid: Grid, a: Cell, b: Cell) -> bool:
             and 0 <= b[0] < width and 0 <= b[1] < height):
         return False
     dc, dr = b[0] - a[0], b[1] - a[1]
-    return sight_bits(grid, a, ((dc, dr, ray(width, dc, dr)),), 1) == 1
+    return sight_bits(grid, a, ((dc, dr, ray(width, dc, dr)),)) == 1
 
 
-def sight_bits(
-    grid: Grid, cell: Cell, rays: tuple[tuple[int, int, Ray | None], ...], bits: int
-) -> int:
-    """Which of the offsets selected by ``bits`` the in-bounds cell sees.
+def sight_bits(grid: Grid, cell: Cell, rays: tuple[tuple[int, int, Ray | None], ...]) -> int:
+    """Which of ``rays`` the in-bounds cell sees, as bits.
 
-    Bit j of ``bits`` selects rays[j], an offset (dcol, drow) and its ray
-    at the grid's width. Bit j of the result is set iff it is selected, the
-    target cell + (dcol, drow) lies in the grid, every run of the ray is
-    free in the grid's run tables and none of its corner pairs is sealed.
+    rays[j] is an offset (dcol, drow) and its ray at the grid's width, or
+    None if the offset lands in the grid from no cell. Bit j of the result
+    is set iff the target cell + (dcol, drow) lies in the grid, every run
+    of the ray is free in the grid's run tables and none of its corner
+    pairs is sealed.
     """
     width, height = grid.width, grid.height
     col, row = cell
     base = row * width + col
     free_right, free_down = grid.free_right, grid.free_down
     seen = 0
-    while bits:  # the set bits, low to high
-        low = bits & -bits
-        bits ^= low
-        dc, dr, ray_j = rays[low.bit_length() - 1]
+    for j, (dc, dr, ray_j) in enumerate(rays):
         if 0 <= col + dc < width and 0 <= row + dr < height:
             along_rows, runs, pairs = ray_j
             free = free_right if along_rows else free_down
@@ -291,7 +277,7 @@ def sight_bits(
                     if not (free_right[base + off1] or free_right[base + off2]):
                         break
                 else:
-                    seen |= low
+                    seen |= 1 << j
     return seen
 
 
@@ -307,15 +293,14 @@ def sight_table(grid: Grid, rays: tuple[tuple[int, int, Ray | None], ...]) -> by
     """What every cell sees of ``rays``: one row of ``(len(rays) + 7) // 8``
     bytes per cell, in flat index order.
 
-    A row read as a little-endian int equals sight_bits(grid, cell, rays,
-    (1 << len(rays)) - 1). Each ray is tested from every cell at once, in
-    the shift-and manner: bit i of an int over the cells is set iff cell i
-    has the property, and shifting it right by a ray's offset moves the
-    bit of cell i + offset to i. A cell sees the ray's target iff the
-    target is in bounds, each run (offset, n) is in the set of cells whose
-    free run covers n, shifted by the offset, and each corner pair has a
-    free member. Each eight rays' ints are then transposed into a byte
-    column of the table.
+    A row read as a little-endian int equals sight_bits(grid, cell, rays).
+    Each ray is tested from every cell at once, in the shift-and manner:
+    bit i of an int over the cells is set iff cell i has the property, and
+    shifting it right by a ray's offset moves the bit of cell i + offset
+    to i. A cell sees the ray's target iff the target is in bounds, each
+    run (offset, n) is in the set of cells whose free run covers n, shifted
+    by the offset, and each corner pair has a free member. Each eight rays'
+    ints are then transposed into a byte column of the table.
     """
     width, height = grid.width, grid.height
     cells, size = width * height, (len(rays) + 7) // 8

@@ -15,6 +15,7 @@ import multiprocessing
 import statistics
 import traceback
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -146,15 +147,16 @@ def _next_task(stretches: list[deque[int]], lane: int) -> int | None:
 def _lane(conn, parent_end, grids: Mapping[str, Grid], tasks) -> None:
     # A worker process: runs the tasks whose indices arrive, answering
     # (index, result, None) or (index, exception, its traceback), until
-    # run_batch stops it.
+    # run_batch stops it or its process dies, which closes the pipe.
     parent_end.close()  # so that the worker sees EOF if run_batch's process dies
-    while True:
-        index = conn.recv()
-        scen, cfg = tasks[index]
-        try:
-            conn.send((index, _run_task(grids[scen.map_id], scen, cfg), None))
-        except Exception as exc:
-            conn.send((index, exc, traceback.format_exc()))
+    with suppress(EOFError, OSError):  # the pipe is closed: exit quietly
+        while True:
+            index = conn.recv()
+            scen, cfg = tasks[index]
+            try:
+                conn.send((index, _run_task(grids[scen.map_id], scen, cfg), None))
+            except Exception as exc:
+                conn.send((index, exc, traceback.format_exc()))
 
 
 def _run_lanes(tasks, grids: Mapping[str, Grid], lanes: int, emit) -> None:

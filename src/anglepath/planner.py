@@ -298,7 +298,7 @@ class _Ring(dict):
 
     As a dict, the ring maps a cell's flat index to its sight row: bit j is
     set iff offset j's target lies in the grid and in sight of the cell, as
-    sight_bits() over the full mask answers. A missing row is copied from
+    sight_bits() over the ring's rays answers. A missing row is copied from
     the sight table of the cell's tile, the cells (col, row) with ``(row //
     TILE, col // TILE)`` equal to the tile's index. tile() builds it on the
     tile's first miss by geometry.sight_table() on the tile widened by
@@ -354,7 +354,7 @@ class _Ring(dict):
         (i, y), (j, x) = divmod(row, TILE), divmod(col, TILE)
         tile = self.tile((i, j))
         if tile is None:
-            bits = sight_bits(self.grid, (col, row), self.rays, self.full)
+            bits = sight_bits(self.grid, (col, row), self.rays)
         else:
             at = (y * min(TILE, width - j * TILE) + x) * self.size  # the tile's rows are this wide
             bits = _from_bytes(tile[at:at + self.size], "little")
@@ -644,14 +644,6 @@ class Search:
             level += 1
             node.level = level
             descents += 1
-            # Drop the stale copies tying the node's (f, -g, key), which would
-            # pop before a re-queued node: max_open stays a re-queue's.
-            if open_ and open_[0][0] == node.f:
-                head = (node.f, -node.g, (col * height + row) * base + (
-                    0 if parent is None else parent.cell[0] * height + parent.cell[1] + 1))
-                while open_ and open_[0][:3] == head:
-                    heappop(open_)
-                    stats.stale_pops += 1
         if descents:
             stats.expansions += descents
             stats.reinsertions += descents

@@ -11,7 +11,8 @@ test on every offset of the circle instead of bisecting by angle, and the
 reference search pushes each expansion's children in whatever order its
 caller draws, every one of them, marking those the planner's dominance
 rule drops. The seeded grid
-and endpoint helpers the test modules share live here too, once.
+and endpoint helpers the test modules share live here too, once, and a
+check that a process has exited.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import os
 from collections import deque
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from anglepath import (
     line_of_sight,
     turn_angle,
 )
-from anglepath.geometry import ANGLE_EPS_DEG, turn_bits, turn_cos_threshold
+from anglepath.geometry import ANGLE_EPS_DEG, turn_cos_threshold
 
 # ---------------------------------------------------------------------------
 # Seeded inputs and bounds shared by the test modules
@@ -64,6 +67,20 @@ def random_endpoints(rng, grid):
     if len(free) < 2:
         return None
     return tuple(rng.sample(free, 2))
+
+
+def process_gone(pid: int) -> bool:
+    """Whether no process runs as pid: none exists, or only a zombie that
+    its new parent has not reaped yet, as an orphan can be for a while."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
 def expansion_bound(grid, cfg):
@@ -224,8 +241,10 @@ def turn_ok(hx, hy, dc, dr, threshold) -> bool:
 
 
 def arc_window_scan(radius, hx, hy, alpha_max) -> int:
-    """arc_window() as the scan of every circle offset it replaced."""
-    return turn_bits(hx, hy, circle_offsets(radius), turn_cos_threshold(alpha_max))
+    """arc_window() as a scan of every circle offset with turn_ok()."""
+    threshold = turn_cos_threshold(alpha_max)
+    return sum(1 << j for j, (dc, dr) in enumerate(circle_offsets(radius))
+               if turn_ok(hx, hy, dc, dr, threshold))
 
 
 def admitted_successors(grid, cell, parent_cell, delta, goal, threshold, closed):

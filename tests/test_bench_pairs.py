@@ -1,10 +1,20 @@
-"""The pure functions of tools/bench_pairs.py, on run lists built by hand."""
+"""tools/bench_pairs.py: its pure functions on run lists built by hand, and
+its exit on SIGTERM in a repository of its own."""
 
 import argparse
 import importlib.util
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from oracles import process_gone
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -142,3 +152,51 @@ class TestBenchWorkload:
                    "change": lambda seed: f"records-{seed}" if seed < 8 else "other"}
         with pytest.raises(SystemExit, match="w seed 8: records differ"):
             self.run(monkeypatch, digests)
+
+
+# A perfbench/run.py stand-in: it writes its pid to the file named by
+# $FAKE_RUN_PID, whole or not at all, and sleeps.
+FAKE_RUN = """
+import os, time
+path = os.environ["FAKE_RUN_PID"]
+with open(path + ".part", "w") as f:
+    f.write(str(os.getpid()))
+os.replace(path + ".part", path)
+time.sleep(120)
+"""
+
+
+class TestSigterm:
+    def test_sigterm_kills_the_run_and_removes_the_export(self, tmp_path):
+        repo, tmp, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "run.pid"
+        (repo / "tools").mkdir(parents=True)
+        (repo / "perfbench").mkdir()
+        tmp.mkdir()
+        shutil.copy(_PATH, repo / "tools")
+        (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
+        git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "fake"]):
+            subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+        env = {**os.environ, "TMPDIR": str(tmp), "FAKE_RUN_PID": str(pid_file)}
+        tool = subprocess.Popen([sys.executable, "tools/bench_pairs.py", "--out", "out.json",
+                                 "w:1:2"], cwd=repo, env=env, stderr=subprocess.PIPE, text=True)
+        run = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists():
+                assert tool.poll() is None, tool.stderr.read()
+                assert time.monotonic() < deadline, "the tool never started a run"
+                time.sleep(0.05)
+            run = int(pid_file.read_text())
+            assert list(tmp.glob("bench-parent-*"))  # the run is the parent's
+            tool.send_signal(signal.SIGTERM)
+            tool.wait(timeout=30)
+            assert process_gone(run), "the perfbench run outlived the tool"
+            assert list(tmp.glob("bench-parent-*")) == []
+        finally:
+            tool.kill()
+            tool.wait()
+            tool.stderr.close()
+            if run is not None and not process_gone(run):
+                os.kill(run, signal.SIGKILL)

@@ -2,7 +2,12 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from collections import deque
 from pathlib import Path
 
@@ -24,7 +29,7 @@ from anglepath.harness import (
     write_records,
 )
 from anglepath.planner import prepare
-from oracles import empty_grid, random_endpoints, random_grid
+from oracles import empty_grid, process_gone, random_endpoints, random_grid
 
 ELIAN84 = PlannerConfig(
     mode="elian", delta_max=8, delta_min=4, k=0.5, alpha_max=25, weight=2, time_cap=20
@@ -372,22 +377,17 @@ class TestLanes:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_records_and_sink_in_serial_order(self, jobs):
-        import multiprocessing
-
         serial, serial_sunk = self.batch(1)
         assert len(serial.records) == 14
         result, sunk = self.batch(jobs)
         assert timeless(result.records) == timeless(serial.records)
         assert timeless(sunk) == timeless(serial_sunk) == timeless(serial.records)
         assert result.errors == serial.errors
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_failed_task_ends_the_batch_after_the_tasks_before_it(self, jobs, monkeypatch):
         # Task 5, (c.map, elian), raises in whichever process runs it (a
         # forked worker inherits the patch); tasks 0-4 hold 9 records.
-        import multiprocessing
-
         from anglepath import harness
 
         serial = run_batch(self.scens, self.configs, grids=self.grids)
@@ -403,7 +403,6 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="task failed") as raised:
             run_batch(self.scens, self.configs, grids=self.grids, jobs=jobs,
                       record_sink=sunk.append)
-        assert multiprocessing.active_children() == []
         assert timeless(sunk) == timeless(serial.records[:9])
         assert harness._prepared is None
         if jobs > 1:  # the worker's traceback comes along
@@ -458,7 +457,6 @@ class TestLanes:
         assert harness._prepared is None
 
     def test_dead_worker_ends_the_batch(self, monkeypatch):
-        import multiprocessing
         import os
 
         from anglepath import harness
@@ -473,14 +471,11 @@ class TestLanes:
         monkeypatch.setattr(harness, "_run_task", dying)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             run_batch(self.scens, self.configs, grids=self.grids, jobs=2)
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_a_map_cut_between_lanes(self, jobs):
         # Six tasks on one map: the equal split cuts the map between lanes
         # (tasks 0-2 and 3-5 at jobs=2, 0-1, 2-3 and 4-5 at jobs=3).
-        import multiprocessing
-
         self.scens = [
             tiny_scen("a.map", [((1, 1), (30, 1)), ((1, 2), (30, 30))]),
             tiny_scen("a.map", [((2, 2), (30, 20))]),
@@ -492,7 +487,6 @@ class TestLanes:
         assert timeless(result.records) == timeless(serial.records)
         assert timeless(sunk) == timeless(serial_sunk) == timeless(serial.records)
         assert result.errors == serial.errors
-        assert multiprocessing.active_children() == []
 
     def test_thieves_take_the_far_end(self):
         from anglepath.harness import _next_task
@@ -733,3 +727,61 @@ class TestSvg:
         b = render_svg(grid, [(0, 0), (4, 4)])
         assert a == b
         assert out.read_text() == a
+
+
+# Runs a jobs=2 batch of eight one-instance tasks whose workers write their
+# pid to the file named by argv[1] and sleep before each task.
+ORPHANING_BATCH = """
+import os, sys, time
+from anglepath import PlannerConfig, harness, parse_scen
+from oracles import empty_grid
+
+run_task = harness._run_task
+
+def slow(grid, scen, cfg):  # forked workers inherit it
+    with open(sys.argv[1], "a") as pids:
+        pids.write(f"{os.getpid()}\\n")
+    time.sleep(0.5)
+    return run_task(grid, scen, cfg)
+
+harness._run_task = slow
+scens = [parse_scen(f"version 1\\n0\\ta.map\\t40\\t40\\t1\\t{r}\\t30\\t{r}\\t0\\n")
+         for r in range(1, 9)]
+harness.run_batch(scens, [PlannerConfig(mode="lian", delta_max=8, alpha_max=25)],
+                  grids={"a.map": empty_grid(40)}, jobs=2)
+"""
+
+
+class TestOrphanedLanes:
+    def test_workers_exit_quietly_when_the_batch_process_dies(self, tmp_path):
+        # SIGKILL the process running a jobs=2 batch while both workers are
+        # busy: each must see its pipe close and exit without a traceback.
+        root = Path(__file__).resolve().parents[1]
+        pids, err = tmp_path / "pids", tmp_path / "stderr"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+        with open(err, "w") as stderr:
+            batch = subprocess.Popen([sys.executable, "-c", ORPHANING_BATCH, str(pids)],
+                                     env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+        workers: set[int] = set()
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2:
+                assert batch.poll() is None, err.read_text()
+                assert time.monotonic() < deadline, "the workers never started a task"
+                time.sleep(0.05)
+                if pids.exists():  # whole lines only
+                    workers = {int(pid) for pid in pids.read_text().split("\n")[:-1]}
+            batch.kill()
+            batch.wait()
+            deadline = time.monotonic() + 5
+            while not all(map(process_gone, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(process_gone, workers)), "a worker outlived the batch's process"
+            assert "Traceback" not in err.read_text()
+        finally:
+            batch.kill()
+            batch.wait()
+            for pid in workers:
+                if not process_gone(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -570,7 +570,7 @@ def assert_rows_match_rays(grid):
     for ring in grid.circle_tables.values():
         for flat, row in ring.items():
             cell = flat % grid.width, flat // grid.width
-            assert row == sight_bits(grid, cell, ring.rays, ring.full), (ring.radius, cell)
+            assert row == sight_bits(grid, cell, ring.rays), (ring.radius, cell)
         rows += len(ring)
     assert rows > 0
 

@@ -24,8 +24,9 @@ the pairs the change won and lost, each side's source digest and the
 records digest of each seed; it is written again after each workload. ``--claim
 WORKLOAD:METRIC`` adds whether that metric's gain holds: the change won at
 least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range. Standard library
-only.
+parent's by more than the parent's interquartile range. SIGTERM stops
+the tool as an exception does: the running perfbench child is killed and
+the exported parent removed. Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -186,6 +188,9 @@ def save(doc: dict, path: Path) -> None:
 
 
 def main(argv=None) -> int:
+    # subprocess.run kills its child on any exception, and the with block
+    # below removes the export; SIGTERM's default would skip both.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     args = _parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
