@@ -16,7 +16,6 @@ from .grids import (
 from .planner import (
     PlannerConfig,
     Search,
-    SearchNode,
     SearchStats,
     Verdict,
     delta_levels,

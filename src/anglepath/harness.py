@@ -26,6 +26,11 @@ from .grids import Cell, Grid, InputError, Instance, ParseError, ScenarioSet, lo
 from .planner import PlannerConfig, Verdict, prepare, release, search
 
 
+# The most worker processes a batch may ask for. Each is a whole
+# interpreter with its own copy of the grids; the cap is fixed, not read
+# from the host, so a batch is refused or run alike on every machine.
+MAX_JOBS = 64
+
 # RunRecord fields that may be None, and so may be missing from a dict.
 _NULLABLE = ("path_length", "accumulated_angle_deg", "path")
 
@@ -244,13 +249,16 @@ def run_batch(
     raises anything but InputError ends the batch with that exception,
     after the tasks before it have reached the sink. No grid holds sight
     tables after run_batch returns.
-    ``jobs < 1`` raises InputError, and so do two configs that would share a
+    ``jobs`` outside 1..MAX_JOBS raises InputError before any map is
+    loaded or worker started, and so do two configs that would share a
     summary row (the same name at the same alpha_max) and an instance_id
     that appears twice, which aggregate() would count twice as run but once
     as solved.
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise InputError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     scenarios = list(scenarios)
     seen: set[str] = set()
     for instance_id in (inst.instance_id for scen in scenarios for inst in scen.instances):

@@ -176,27 +176,12 @@ def delta_levels(cfg: PlannerConfig) -> tuple[float, ...]:
     return tuple(levels)
 
 
-class SearchNode:
-    """One search state: a cell plus the cell it was reached from.
-
-    ``level`` indexes the delta ladder of the owning search.
-    """
-
-    __slots__ = ("cell", "parent", "g", "f", "level")
-
-    def __init__(self, cell, parent, g, f, level):
-        self.cell = cell
-        self.parent = parent
-        self.g = g
-        self.f = f
-        self.level = level
-
-
 @dataclass
 class SearchStats:
     """Counters of one search.
 
-    ``expansions`` counts a node once per ladder level it is expanded at.
+    ``expansions`` counts a popped entry once per ladder level it is
+    expanded at.
     ``reinsertions`` counts ladder descents, dead ends retried one level
     down; the name stays because records.jsonl carries it. ``generated``
     counts successors that passed the turn, sight and closed tests, and
@@ -223,13 +208,13 @@ class Outcome:
     stats: SearchStats
 
 
-def reconstruct_path(goal_node: SearchNode) -> list[Cell]:
-    """Waypoints from start to goal by walking the parent chain."""
+def reconstruct_path(node: tuple) -> list[Cell]:
+    """Waypoints from the start to the node's cell, by walking the parent
+    chain of a node tuple ``(cell, parent, g, level)`` (see Search)."""
     path = []
-    node = goal_node
     while node is not None:
-        path.append(node.cell)
-        node = node.parent
+        path.append(node[0])
+        node = node[1]
     path.reverse()
     return path
 
@@ -431,13 +416,15 @@ class Search:
     expanded keys. An open-list entry is ``(f, -g, key, seq, parent,
     level)``. The first four fields are the sort key: smallest f, then
     largest g, then key, then insertion order, so runs are fully
-    deterministic and no comparison reaches ``parent``, the expanded node
-    the entry was generated from (None for the start), or ``level``, its
-    ladder level. An entry's SearchNode is built only when it is popped and
-    its key is not yet closed, so the few stale duplicates left allocate
-    nothing. Most are never queued: per ladder level, ``_queued`` maps a
-    cell's flat index to ``(g, mask)``, the g of the cell's last expansion
-    there and the circle offsets queued at that g, which expand() skips.
+    deterministic and no comparison reaches ``parent``, the node the entry
+    was generated from (None for the start), or ``level``, its ladder level.
+    A node is the tuple ``(cell, parent, g, level)``, its level the one its
+    expansion queued children at. expand() builds one only on the level
+    visit that has visible targets or the goal in reach, so a popped entry
+    that is stale or a dead end allocates nothing. Few stale duplicates are
+    queued: per ladder level, ``_queued`` maps a cell's flat index to ``(g,
+    mask)``, the g of the cell's last expansion there and the circle
+    offsets queued at that g, which expand() skips.
 
     The grid's ``circle_tables`` maps each radius a search or prepare()
     reached to its _Ring, built once per grid; it is read only here and
@@ -498,23 +485,26 @@ class Search:
             ring.steps, ring, ring.picks, arc_windows(radius, self.cfg.alpha_max), delta, radius)
         return visit
 
-    def expand(self, node: SearchNode) -> None:
-        """Generate successors of an expanded node, descending the ladder.
+    def expand(self, entry: tuple) -> None:
+        """Generate the successors of a popped open-list entry, descending
+        the ladder.
 
-        The call unpacks ``_consts`` once, and each level visit unpacks the
-        level's record in ``_visits`` (see the class docstring); the ring's
-        full mask and the ``_queued`` map are read only by the start node
+        The entry is ``(f, -g, key, seq, parent, level)`` as run() popped
+        it (see the class docstring): the call decodes the cell from the
+        key and reads f and seq not at all. It unpacks ``_consts`` once,
+        and each level visit unpacks the level's record in ``_visits``; the
+        ring's full mask and the ``_queued`` map are read only by the start
         and a visit that generates children.
         Candidates are the in-bounds cells of the discrete circle at the
-        node's delta whose turn from the node's heading stays within
-        alpha_max (all of them for the start node, which has no heading),
-        plus the goal when it is closer than delta, within the turn limit
-        and in sight. Neither answer depends on the level, so the call
-        tests the goal once, at the first level whose delta exceeds the
-        goal's distance, and reuses the answer at the levels it descends
-        to while that holds: one turn_ok() on the goal's offset, then line
-        of sight read from the search's ``_goal_sight`` memo, walked on the
-        cell's first test. A call far from the goal tests nothing. A goal
+        level's delta whose turn from the heading, parent cell to cell,
+        stays within alpha_max (all of them for the start, which has no
+        heading), plus the goal when it is closer than delta, within the
+        turn limit and in sight. Neither answer depends on the level, so
+        the call tests the goal once, at the first level whose delta
+        exceeds the goal's distance, and reuses the answer at the levels it
+        descends to while that holds: one turn_ok() on the goal's offset,
+        then line of sight read from the search's ``_goal_sight`` memo,
+        walked on the cell's first test. A call far from the goal tests nothing. A goal
         that is a circle offset (``ring.offsets``) is left to the scan.
         The heading's window is read from the level's shared
         arc_windows() map, or on a miss computed by arc_window() and stored
@@ -527,42 +517,44 @@ class Search:
         ``picks`` tuple of its sight pattern, in offset order. Survivors
         whose identity was already expanded are dropped; the rest are
         pushed as lazy entries (see the class docstring) in that order, the
-        goal last. An entry's -g is ``-node.g - step`` and its f is
+        goal last. A child's -g is the entry's -g less the step and its f is
         ``weight * h - (-g)``: bit for bit the ``-(g + step)`` and ``g +
         weight * h`` of the definition, as negation is exact and rounding
         is symmetric in sign, with one float fewer per push. They differ
         in cell, so no two tie on (f, -g, key) and the order they are
         pushed in decides no pop. If nothing survives and the ladder has a
-        next level, the node moves to it and the scan repeats there,
+        next level, the expansion moves to it and the scan repeats there,
         counted as one more expansion and one descent; at the last level it
         is discarded. The call adds its descents to the counters once,
-        before it returns.
+        before it returns. The node the children point to, ``(cell,
+        parent, g, level)``, is built once the level is final, on the visit
+        that has visible targets or the goal in reach.
 
         A survivor is dominated, and not pushed, when the cell's entry in
-        ``_queued`` for this level holds its offset and the node's g equals
+        ``_queued`` for this level holds its offset and the cell's g equals
         the entry's g or exceeds it by more than the rounding of a child's f
         can hide. A child's h does not depend on the cell's parent, so the
         earlier copy sorts first on (f, -g, key, seq) and the later one
         could only pop stale. The tie guard matters: one ulp more g can
         round to the same f and then sort first. A dominated survivor
-        counts as generated and keeps the node from descending. The entry
-        is read only when the arc has visible targets. Once the node
-        queues a child from the circle, the entry becomes the node's g with
+        counts as generated and keeps the expansion from descending. The
+        entry is read only when the arc has visible targets. Once the call
+        queues a child from the circle, the entry becomes the cell's g with
         those targets, plus the old offsets when they dominated; until
         then it stays as it was.
         """
         grid, goal, depth, stats, width, height, base, weight, closed, open_ = self._consts
-        cell = node.cell
-        col, row = cell
-        parent = node.parent
+        _, ng0, key, _, parent, level = entry  # a child's -g is ng0 - step (see above)
+        ident = key // base
+        col, row = cell = divmod(ident, height)
         if parent is not None:
-            heading = hx, hy = col - parent.cell[0], row - parent.cell[1]
+            heading = hx, hy = col - parent[0][0], row - parent[0][1]
         gdc, gdr = goal[0] - col, goal[1] - row
         dg = hypot(gdc, gdr)
         flat = row * width + col
         reach = None  # the goal test, made on the first level with dg < delta
         visits = self._visits
-        level, descents = node.level, 0
+        descents = 0
         while True:
             targets, rows, picks, arcs, delta, radius = visits[level] or self._visit(level)
             bits = 0
@@ -583,18 +575,17 @@ class Search:
                     if reach is None:
                         reach = self._goal_sight[flat] = line_of_sight(grid, cell, goal)
             if bits or reach:
-                ident = col * height + row
                 key0 = ident * base + ident + 1  # a child's key less its offset's shift
-                g0 = node.g
-                ng0 = -g0  # a child's -g is ng0 - step (see above)
+                g0 = -ng0
+                node = (cell, parent, g0, level)
                 child_level = level
                 if level > 0 and parent is not None:
                     # Children move up a level once success_streak nodes
                     # ending at this one share its level.
                     ancestor = node
                     for _ in range(self.cfg.success_streak - 1):
-                        ancestor = ancestor.parent
-                        if ancestor is None or ancestor.level != level:
+                        ancestor = ancestor[1]
+                        if ancestor is None or ancestor[3] != level:
                             break
                     else:
                         child_level -= 1
@@ -642,7 +633,6 @@ class Search:
             if level + 1 == depth:
                 break
             level += 1
-            node.level = level
             descents += 1
         if descents:
             stats.expansions += descents
@@ -662,18 +652,18 @@ class Search:
         stats.max_open = max(stats.max_open, len(open_))
 
         # Bound once: spans.py and the tests wrap Search.expand before run.
-        expand, close, new_node = self.expand, closed.add, SearchNode.__new__
+        expand, close = self.expand, closed.add
         verdict = Verdict.NOT_FOUND
         path = None
         while open_:
             if perf() > deadline:
                 verdict = Verdict.TIMEOUT
                 break
-            f, neg_g, key, _, parent, level = heappop(open_)
-            ident = key // base
-            if ident == goal_ident:
+            entry = heappop(open_)
+            key = entry[2]
+            if key // base == goal_ident:
                 verdict = Verdict.FOUND
-                path = reconstruct_path(parent) + [goal]
+                path = reconstruct_path(entry[4]) + [goal]
                 break
             if key in closed:
                 # Stale duplicate of an identity already expanded via
@@ -681,14 +671,7 @@ class Search:
                 stats.stale_pops += 1
                 continue
             close(key)
-            # SearchNode(...) without the __init__ frame.
-            node = new_node(SearchNode)
-            node.cell = divmod(ident, height)
-            node.parent = parent
-            node.g = -neg_g
-            node.f = f
-            node.level = level
-            expand(node)
+            expand(entry)
 
         stats.expansions += len(closed)  # one key per popped expansion
         stats.runtime = perf() - t0

@@ -11,8 +11,9 @@ test on every offset of the circle instead of bisecting by angle, and the
 reference search pushes each expansion's children in whatever order its
 caller draws, every one of them, marking those the planner's dominance
 rule drops. The seeded grid
-and endpoint helpers the test modules share live here too, once, and a
-check that a process has exited.
+and endpoint helpers the test modules share live here too, once, with
+the builder of a popped open-list entry and a check that a process has
+exited.
 """
 
 from __future__ import annotations
@@ -87,6 +88,27 @@ def expansion_bound(grid, cfg):
     """A generous cap on expansions: every (cell, circle cell, level) four times."""
     r_max = max(1, round(cfg.delta_max))
     return grid.width * grid.height * len(circle_offsets(r_max)) * len(delta_levels(cfg)) * 4
+
+
+def ident_key(search, cell, parent_cell=None):
+    """The packed key of a (cell, parent cell) identity, as in Search."""
+    height = search.grid.height
+    parent_part = 0 if parent_cell is None else parent_cell[0] * height + parent_cell[1] + 1
+    return (cell[0] * height + cell[1]) * (search.grid.width * height + 1) + parent_part
+
+
+def popped_entry(search, cell, parent=None, g=0.0, level=0):
+    """The open-list entry ``(f, -g, key, seq, parent, level)`` of the
+    search for cell, as run() pops it and hands it to expand(): reached
+    from the node tuple ``parent`` = (cell, parent, g, level), None for the
+    start, at cost g, on ladder level ``level``. A parent off the grid,
+    which a test uses only for its heading, has no key part: the key then
+    packs the cell alone, and the cell is all expand() decodes from it."""
+    parent_cell = None if parent is None else parent[0]
+    if parent_cell is not None and not search.grid.in_bounds(*parent_cell):
+        parent_cell = None
+    key = ident_key(search, cell, parent_cell)
+    return (g + search.cfg.weight * euclid(cell, search.goal), -g, key, 0, parent, level)
 
 
 # ---------------------------------------------------------------------------

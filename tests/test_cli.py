@@ -304,6 +304,17 @@ class TestBench:
         assert code == 3
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    def test_jobs_above_the_cap_exit_three(self, open_map, tmp_path, capsys, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "Process",
+                            lambda *args, **kwargs: pytest.fail("started a worker"))
+        scen = tmp_path / "open.scen"
+        scen.write_text("version 1\n0\topen.map\t40\t40\t5\t20\t25\t20\t20\n")
+        code = main(["bench", "--scen", str(scen), "--jobs", "65", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "jobs must be at most 64, got 65" in capsys.readouterr().err
+
     def test_refused_batch_keeps_old_records(self, open_map, tmp_path, capsys):
         old = tmp_path / "x.records.jsonl"
         old.write_text("old\n")
@@ -529,8 +540,8 @@ def cli_argv(path):
     bench_flags = {
         "--maps-dir": st.sampled_from([".", "no-dir"]).map(path),
         "--configs": jsons.map(path),
-        # No value above 1: each example starts no worker process.
-        "--jobs": st.sampled_from(["1", "0", "-3", "x"]),
+        # No value above 1 that is accepted: each example starts no worker process.
+        "--jobs": st.sampled_from(["1", "0", "-3", "x", "65"]),
         "--format": st.sampled_from(["csv", "json", "xml"]),
         "--baseline": st.sampled_from(["lian-3", "elian-4-2", "lian-20", "nope"]),
     }

@@ -15,7 +15,7 @@ from anglepath import (
     parse_ascii_map,
     turn_angle,
 )
-from anglepath import PlannerConfig, Search, SearchNode, geometry, planner
+from anglepath import PlannerConfig, Search, geometry, planner
 from anglepath.geometry import arc_window, ray, sight_bits, sight_table, turn_cos_threshold
 from anglepath.grids import MAX_RUN
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     circle_oracle,
     empty_grid,
     los_oracle,
+    popped_entry,
     random_grid,
     segment_cells,
     turn_ok,
@@ -528,8 +529,7 @@ class TestVisibleTargets:
         def children(grid, parent):
             # The cells pushed by expanding (0, 0) reached from parent (None: the start).
             s = Search(grid, (0, 0), (2, 2), cfg)
-            back = None if parent is None else SearchNode(parent, None, 0.0, 0.0, 0)
-            s.expand(SearchNode((0, 0), back, 0.0, 0.0, 0))
+            s.expand(popped_entry(s, (0, 0), None if parent is None else (parent, None, 0.0, 0)))
             return sorted(divmod(key // s._key_base, grid.height) for _, _, key, *_ in s.open)
 
         g = parse_ascii_map("...\n.#.\n...")

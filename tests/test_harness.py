@@ -184,6 +184,22 @@ class TestRunBatch:
         with pytest.raises(InputError, match="jobs"):
             run_batch(self.scens, self.configs, grids=self.grids, jobs=jobs)
 
+    def test_jobs_above_the_cap_refused_before_any_worker(self, monkeypatch):
+        # The cap is a constant, not the host's core count, so this holds
+        # on every machine. No worker process may start.
+        import multiprocessing
+
+        from anglepath import harness
+
+        monkeypatch.setattr(multiprocessing, "Process",
+                            lambda *args, **kwargs: pytest.fail("started a worker"))
+        assert harness.MAX_JOBS == 64
+        with pytest.raises(InputError, match="jobs must be at most 64, got 65"):
+            run_batch(self.scens, self.configs, grids=self.grids, jobs=65)
+        # The cap itself is accepted; one task runs in this process.
+        result = run_batch(self.scens, self.configs[:1], grids=self.grids, jobs=64)
+        assert len(result.records) == 2
+
     def test_configs_sharing_a_summary_row_refused(self, monkeypatch):
         # Same name and alpha_max would fold two configs into one summary row.
         from dataclasses import replace

@@ -17,7 +17,6 @@ from anglepath import (
     InputError,
     PlannerConfig,
     Search,
-    SearchNode,
     SearchStats,
     Verdict,
     delta_levels,
@@ -36,6 +35,8 @@ from oracles import (
     delta_successors,
     empty_grid,
     expansion_bound,
+    ident_key,
+    popped_entry,
     random_endpoints,
     random_grid,
     reachable,
@@ -251,13 +252,6 @@ def elian_cfg(dmax=20, dmin=5):
     )
 
 
-def ident_key(search, cell, parent_cell=None):
-    """The packed key of a (cell, parent cell) identity, as in Search."""
-    height = search.grid.height
-    parent_part = 0 if parent_cell is None else parent_cell[0] * height + parent_cell[1] + 1
-    return (cell[0] * height + cell[1]) * (search.grid.width * height + 1) + parent_part
-
-
 def decode_key(search, key):
     """(cell, parent cell) of a packed key; the start's parent is None."""
     height = search.grid.height
@@ -271,7 +265,7 @@ def open_entries(search):
     for f, neg_g, key, _, parent, level in sorted(search.open, key=lambda entry: entry[3]):
         cell, parent_cell = decode_key(search, key)
         assert ident_key(search, cell, parent_cell) == key
-        assert parent_cell == (None if parent is None else parent.cell)
+        assert parent_cell == (None if parent is None else parent[0])
         decoded.append((cell, parent_cell, level, -neg_g, f))
     return decoded
 
@@ -285,11 +279,12 @@ class TestExpand:
             blocked[r, c] = True
         grid = Grid(blocked)
         s = Search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=10))
-        node = SearchNode((4, 4), None, 0.0, 0.0, 0)
+        entry = popped_entry(s, (4, 4))
         s.closed.add(ident_key(s, (4, 4)))
-        s.expand(node)
+        s.expand(entry)
         assert (s.stats.reinsertions, s.stats.expansions) == (1, 1)
-        assert node.level == 1 and s.levels[node.level] == 10.0
+        level = entry[5] + s.stats.reinsertions  # the level it was discarded at
+        assert level == 1 and s.levels[level] == 10.0
         assert s.open == [] and s.stats.generated == 0
 
     def test_dead_end_descends_and_generates_in_one_call(self):
@@ -298,10 +293,9 @@ class TestExpand:
         blocked = np.zeros((21, 21), dtype=bool)
         blocked[19, 19] = True
         s = Search(Grid(blocked), (10, 10), (20, 20), elian_cfg())
-        node = SearchNode((10, 10), None, 0.0, 0.0, 0)
-        s.expand(node)
+        s.expand(popped_entry(s, (10, 10)))
         assert (s.stats.reinsertions, s.stats.expansions) == (1, 1)
-        assert node.level == 1
+        assert {entry[4] for entry in s.open} == {((10, 10), None, 0.0, 1)}
         entries = open_entries(s)
         assert len(entries) == s.stats.generated == len(circle_offsets(10))
         for cell, parent_cell, level, g, _ in entries:
@@ -314,20 +308,20 @@ class TestExpand:
             blocked[r, c] = True
         grid = Grid(blocked)
         s = Search(grid, (4, 4), (8, 8), elian_cfg(dmax=20, dmin=5))
-        node = SearchNode((4, 4), None, 0.0, 0.0, 2)  # already at delta_min
+        entry = popped_entry(s, (4, 4), level=2)  # already at delta_min
         s.closed.add(ident_key(s, (4, 4)))
-        s.expand(node)
+        s.expand(entry)
         assert s.stats.reinsertions == 0
         assert s.open == []
-        assert node.level == 2 and s.levels[node.level] == 5.0
+        level = entry[5] + s.stats.reinsertions
+        assert level == 2 and s.levels[level] == 5.0
 
     def test_streak_raises_successor_delta(self):
         grid = empty_grid(41)
         s = Search(grid, (0, 20), (40, 20), elian_cfg())
-        grandparent = SearchNode((0, 20), None, 0.0, 0.0, 1)
-        parent = SearchNode((10, 20), grandparent, 10.0, 0.0, 1)
-        node = SearchNode((20, 20), parent, 20.0, 0.0, 1)
-        s.expand(node)
+        grandparent = ((0, 20), None, 0.0, 1)
+        parent = ((10, 20), grandparent, 10.0, 1)
+        s.expand(popped_entry(s, (20, 20), parent, 20.0, 1))
         assert s.stats.generated > 0
         assert s.levels[0] == 20.0
         for _, parent_cell, level, _, _ in open_entries(s):
@@ -336,9 +330,8 @@ class TestExpand:
     def test_no_streak_keeps_delta(self):
         grid = empty_grid(41)
         s = Search(grid, (0, 20), (40, 20), elian_cfg())
-        parent = SearchNode((10, 20), None, 0.0, 0.0, 0)
-        node = SearchNode((20, 20), parent, 10.0, 0.0, 1)
-        s.expand(node)
+        parent = ((10, 20), None, 0.0, 0)
+        s.expand(popped_entry(s, (20, 20), parent, 10.0, 1))
         assert s.stats.generated > 0
         assert s.levels[1] == 10.0
         for _, parent_cell, level, _, _ in open_entries(s):
@@ -351,28 +344,24 @@ class TestExpand:
         )
         grid = empty_grid(61)
         s = Search(grid, (0, 30), (60, 30), cfg)
-        a = SearchNode((0, 30), None, 0.0, 0.0, 1)
-        b = SearchNode((10, 30), a, 10.0, 0.0, 1)
-        c = SearchNode((20, 30), b, 20.0, 0.0, 1)
-        s.expand(c)  # chain of three at the same delta: raise
+        a = ((0, 30), None, 0.0, 1)
+        b = ((10, 30), a, 10.0, 1)
+        s.expand(popped_entry(s, (20, 30), b, 20.0, 1))  # chain of three at the same delta: raise
         assert all(level == 0 for _, _, level, _, _ in open_entries(s))
         s2 = Search(grid, (0, 30), (60, 30), cfg)
-        c2 = SearchNode((20, 30), b, 20.0, 0.0, 1)
-        b.parent = SearchNode((0, 30), None, 0.0, 0.0, 0)
-        s2.expand(c2)  # chain broken at depth two: keep
+        b = ((10, 30), ((0, 30), None, 0.0, 0), 10.0, 1)
+        s2.expand(popped_entry(s2, (20, 30), b, 20.0, 1))  # chain broken at depth two: keep
         assert all(level == 1 for _, _, level, _, _ in open_entries(s2))
 
     def test_closed_identities_pruned(self):
         grid = empty_grid(41)
         s = Search(grid, (0, 20), (40, 20), elian_cfg())
-        node = SearchNode((20, 20), None, 0.0, 0.0, 0)
-        s.expand(node)
+        s.expand(popped_entry(s, (20, 20)))
         first = {cell for cell, _, _, _, _ in open_entries(s)}
         assert (40, 20) in first
         s2 = Search(grid, (0, 20), (40, 20), elian_cfg())
         s2.closed.add(ident_key(s2, (40, 20), (20, 20)))
-        node2 = SearchNode((20, 20), None, 0.0, 0.0, 0)
-        s2.expand(node2)
+        s2.expand(popped_entry(s2, (20, 20)))
         second = {cell for cell, _, _, _, _ in open_entries(s2)}
         assert second == first - {(40, 20)}
 
@@ -397,8 +386,7 @@ class TestGoalTest:
     def test_goal_on_the_circle_is_queued_once(self, delta, move, extra):
         s = Search(empty_grid(61), (30, 30), (30 + move[0], 30 + move[1]),
                    PlannerConfig(mode="lian", delta_max=delta, alpha_max=25))
-        parent = SearchNode((30 - move[0], 30 - move[1]), None, 0.0, 0.0, 0)
-        s.expand(SearchNode((30, 30), parent, 0.0, 0.0, 0))
+        s.expand(popped_entry(s, (30, 30), ((30 - move[0], 30 - move[1]), None, 0.0, 0)))
         arc = geometry.arc_window(max(1, round(delta)), *move, 25)
         children = [cell for cell, _, _, _, _ in open_entries(s)]
         assert children.count(s.goal) == 1
@@ -430,9 +418,9 @@ class TestGoalTest:
             turns.append(args)
             return real_turn(*args)
 
-        def expand(search, node):
+        def expand(search, entry):
             before = len(turns)
-            real_expand(search, node)
+            real_expand(search, entry)
             per_call.append(len(turns) - before)
 
         monkeypatch.setattr(planner, "turn_ok", turn_ok)
@@ -474,16 +462,16 @@ class TestExpandMatchesFullScan:
         s = Search(grid, cell, goal, cfg)
         parent = None
         if heading is not None:
-            parent = SearchNode((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0.0, 0)
-        node = SearchNode(cell, parent, 0.0, 0.0, 0)
+            parent = ((cell[0] - heading[0], cell[1] - heading[1]), None, 0.0, 0)
+        entry = popped_entry(s, cell, parent)
         for cand in delta_successors(cell, delta, grid, goal):
             if rng.random() < 0.3:
                 s.closed.add(ident_key(s, cand, cell))
         expected = admitted_successors(
-            grid, cell, None if parent is None else parent.cell, delta, goal,
+            grid, cell, None if parent is None else parent[0], delta, goal,
             turn_cos_threshold(alpha), lambda cand: ident_key(s, cand, cell) in s.closed,
         )
-        s.expand(node)
+        s.expand(entry)
         entries = open_entries(s)
         children = [child for child, _, _, _, _ in entries]
         assert len(children) == len(set(children))
@@ -491,7 +479,7 @@ class TestExpandMatchesFullScan:
         assert s.stats.generated == len(expected)
         for child, parent_cell, level, g, f in entries:
             assert (parent_cell, level) == (cell, 0)
-            assert g == node.g + math.hypot(child[0] - cell[0], child[1] - cell[1])
+            assert g == -entry[1] + math.hypot(child[0] - cell[0], child[1] - cell[1])
             assert f == g + cfg.weight * math.hypot(goal[0] - child[0], goal[1] - child[1])
 
 
@@ -930,10 +918,12 @@ class TestRunLoop:
         expanded = []
         expand = s.expand
 
-        def record(node):
-            expanded.append((node.cell, node.level))
-            expand(node)
-            expanded.append((node.cell, node.level))
+        def record(entry):
+            cell, descents = decode_key(s, entry[2])[0], s.stats.reinsertions
+            expanded.append((cell, entry[5]))
+            expand(entry)
+            # It queued nothing: it was discarded at its level plus its descents.
+            expanded.append((cell, entry[5] + s.stats.reinsertions - descents))
 
         s.expand = record
         out = s.run()
@@ -949,8 +939,8 @@ class TestRunLoop:
         grid = empty_grid(30)
         s = Search(grid, (2, 15), (27, 15), PlannerConfig(
             mode="lian", delta_max=5, alpha_max=25, weight=2, time_cap=10))
-        a = SearchNode((10, 15), SearchNode((5, 15), None, 0.0, 0.0, 0), 1.0, 1.0, 0)
-        b = SearchNode((10, 15), SearchNode((5, 16), None, 0.0, 0.0, 0), 0.0, 0.0, 0)
+        a = popped_entry(s, (10, 15), ((5, 15), None, 0.0, 0), 1.0)
+        b = popped_entry(s, (10, 15), ((5, 16), None, 0.0, 0), 0.0)
         s.expand(a)
         s.expand(b)
         assert s.stats.dominated == 0
@@ -964,9 +954,11 @@ class TestRunLoop:
         # Every identity expands once, the start last (its f is the largest).
         assert out.stats.expansions == len(expanded) == len(set(idents)) + 1
         assert out.stats.stale_pops == len(idents) - len(set(idents))
-        assert expanded[-1].cell == (2, 15)
-        [node] = [node for node in expanded if node.cell == (15, 15)]
-        assert node.parent is b  # the lower-g entry of the pair
+        cells = [decode_key(s, entry[2])[0] for entry in expanded]
+        assert cells[-1] == (2, 15)
+        [entry] = [entry for entry, cell in zip(expanded, cells) if cell == (15, 15)]
+        # Its parent is the node of the lower-g expansion of the pair.
+        assert entry[4] == ((10, 15), b[4], 0.0, 0) != ((10, 15), a[4], 1.0, 0)
         assert len(s.closed) == len(expanded)
 
     def test_goal_reached_through_lazy_entry(self):
@@ -975,21 +967,24 @@ class TestRunLoop:
         expanded = []
         expand = s.expand
 
-        def record(node):
-            expanded.append(node)
-            expand(node)
+        def record(entry):
+            # The node of the expansion: its level moved down by its descents.
+            descents = s.stats.reinsertions
+            expand(entry)
+            level = entry[5] + s.stats.reinsertions - descents
+            expanded.append((decode_key(s, entry[2])[0], entry[4], -entry[1], level))
 
         s.expand = record
         out = s.run()
         assert out.path == [(2, 24), (10, 23), (18, 24), (22, 23), (25, 21), (27, 18),
                             (29, 10), (28, 4)]
-        # The goal's SearchNode is never built: the path is its parent's
+        # The goal's entry is never expanded: the path is its parent's
         # chain plus the goal cell.
-        assert all(node.cell != goal for node in expanded)
+        assert all(node[0] != goal for node in expanded)
         assert all(decode_key(s, key)[0] != goal for key in s.closed)
         assert ident_key(s, out.path[-2], out.path[-3]) in s.closed
         [parent] = [node for node in expanded[1:]
-                    if (node.cell, node.parent.cell) == (out.path[-2], out.path[-3])]
+                    if (node[0], node[1][0]) == (out.path[-2], out.path[-3])]
         assert reconstruct_path(parent) + [goal] == out.path
 
 
@@ -997,36 +992,45 @@ def probe_expand(monkeypatch):
     """Wrap Search.expand as perfbench's tracer does; return the call log.
 
     Each call leaves (cell, entries pushed, generated, dominated, descents,
-    levels moved, stale pops, whether the node ended at the last level).
-    Each node that run hands to expand must be a SearchNode built from the
-    entry run popped last; expand's own pops, of stale entries, come later.
+    levels moved, stale pops, whether the call ended at the last level).
+    run must hand expand the very entry it popped last, and every entry the
+    call pushes must point to the node tuple (cell, entry's parent, g,
+    entry's level + descents). A call that pushes nothing moves as many
+    levels as it descends.
     """
     calls = []
     original = Search.expand
-    popped = []
-    real_heappop = planner.heappop
+    popped, pushed = [], []
+    real_heappop, real_heappush = planner.heappop, planner.heappush
 
     def heappop(heap):
         popped.append(real_heappop(heap))
         return popped[-1]
 
-    def expand(search, node):
-        f, neg_g, key, _, parent, level = popped[-1]
-        assert type(node) is SearchNode
-        assert node.cell == divmod(key // search._key_base, search.grid.height)
-        assert node.parent is parent
-        assert (node.g, node.f, node.level) == (-neg_g, f, level)
+    def heappush(heap, entry):
+        pushed.append(entry)
+        real_heappush(heap, entry)
+
+    def expand(search, entry):
+        assert entry is popped[-1]
+        _, neg_g, key, _, parent, level = entry
+        cell = divmod(key // search._key_base, search.grid.height)
         s = search.stats
-        before = (search._seq, s.generated, s.dominated, s.reinsertions, node.level,
-                  s.stale_pops)
-        original(search, node)
-        after = (search._seq, s.generated, s.dominated, s.reinsertions, node.level,
-                 s.stale_pops)
-        calls.append((node.cell, *(a - b for a, b in zip(after, before)),
-                      node.level == len(search.levels) - 1))
+        before = (search._seq, s.generated, s.dominated, s.reinsertions, s.stale_pops)
+        first = len(pushed)
+        original(search, entry)
+        after = (search._seq, s.generated, s.dominated, s.reinsertions, s.stale_pops)
+        seq, generated, dominated, descents, stale = (a - b for a, b in zip(after, before))
+        moved = descents
+        for child in pushed[first:]:
+            assert child[4] == (cell, parent, -neg_g, level + descents)
+            moved = child[4][3] - level
+        calls.append((cell, seq, generated, dominated, descents, moved, stale,
+                      level + moved == len(search.levels) - 1))
 
     monkeypatch.setattr(Search, "expand", expand)
     monkeypatch.setattr(planner, "heappop", heappop)
+    monkeypatch.setattr(planner, "heappush", heappush)
     return calls
 
 
@@ -1133,24 +1137,21 @@ class TestDominance:
 
     CFG = PlannerConfig(mode="lian", delta_max=5, alpha_max=25, weight=2, time_cap=10)
 
-    @staticmethod
-    def node(parent_cell, g):
-        return SearchNode((10, 15), SearchNode(parent_cell, None, 0.0, 0.0, 0), g, 0.0, 0)
-
-    def cells(self, cfg, *nodes):
-        """Cells each expansion of ``nodes`` queues, expanded in order in one search."""
+    def cells(self, cfg, *reached):
+        """Cells each expansion of (10, 15) queues, reached from each
+        (parent cell, g) of ``reached`` at level 0, expanded in order in one
+        search."""
         s = Search(empty_grid(30), (2, 15), (27, 15), cfg)
         queued = []
-        for node in nodes:
+        for parent_cell, g in reached:
             before = len(s.open)
-            s.expand(node)
+            s.expand(popped_entry(s, (10, 15), (parent_cell, None, 0.0, 0), g))
             queued.append({cell for cell, *_ in open_entries(s)[before:]})
         return s, queued
 
     def test_equal_g_queues_no_shared_child(self):
-        _, [alone] = self.cells(self.CFG, self.node((5, 17), 3.0))
-        s, [first, second] = self.cells(self.CFG, self.node((5, 15), 3.0),
-                                        self.node((5, 17), 3.0))
+        _, [alone] = self.cells(self.CFG, ((5, 17), 3.0))
+        s, [first, second] = self.cells(self.CFG, ((5, 15), 3.0), ((5, 17), 3.0))
         shared = first & alone
         assert shared and alone - shared
         assert second == alone - shared
@@ -1162,8 +1163,8 @@ class TestDominance:
         # One ulp more g may round a child's f to the same value with a
         # larger g, which sorts first: the tie guard queues the second copy.
         g = 3.0
-        s, [first, second] = self.cells(self.CFG, self.node((5, 15), g),
-                                        self.node((5, 16), math.nextafter(g, math.inf)))
+        s, [first, second] = self.cells(self.CFG, ((5, 15), g),
+                                        ((5, 16), math.nextafter(g, math.inf)))
         assert first & second and s.stats.dominated == 0
 
     def test_all_dominated_keeps_level(self):
@@ -1171,10 +1172,10 @@ class TestDominance:
         # of the second expansion is dominated, and that node neither
         # descends the ladder nor queues anything.
         cfg = elian_cfg(dmax=5, dmin=2)
-        second = self.node((0, 15), 7.0)
-        s, [first, queued] = self.cells(cfg, self.node((5, 15), 3.0), second)
+        s, [first, queued] = self.cells(cfg, ((5, 15), 3.0), ((0, 15), 7.0))
         assert queued == set() and s.stats.dominated == len(first) > 0
-        assert (second.level, s.stats.reinsertions) == (0, 0)
+        # Neither expansion descended, so the second stayed at its entry's level 0.
+        assert s.stats.reinsertions == 0
 
 
 class TestQueuedEntriesBitForBit:
@@ -1214,9 +1215,9 @@ class TestQueuedEntriesBitForBit:
             assert pushed[0][4] is None  # the start, pushed by run
             left += len(s.open)
             for f, neg_g, key, _, parent, _ in pushed[1:]:
-                (col, row), (pcol, prow) = divmod(key // s._key_base, grid.height), parent.cell
-                g = parent.g + math.hypot(col - pcol, row - prow)
-                assert neg_g == -g, (cfg, (col, row), parent.cell)
+                (col, row), (pcol, prow) = divmod(key // s._key_base, grid.height), parent[0]
+                g = parent[2] + math.hypot(col - pcol, row - prow)
+                assert neg_g == -g, (cfg, (col, row), parent[0])
                 assert f == g + cfg.weight * math.hypot(goal[0] - col, goal[1] - row)
                 if (col, row) == goal:
                     assert f == g
@@ -1380,9 +1381,9 @@ class TestReconstruct:
         assert out.path == [(10, 10), (30, 10)]
 
     def test_chain_order(self):
-        a = SearchNode((0, 0), None, 0, 0, 0)
-        b = SearchNode((8, 0), a, 8, 0, 0)
-        c = SearchNode((16, 0), b, 16, 0, 0)
+        a = ((0, 0), None, 0, 0)
+        b = ((8, 0), a, 8, 0)
+        c = ((16, 0), b, 16, 0)
         assert reconstruct_path(c) == [(0, 0), (8, 0), (16, 0)]
 
     def test_corridor_endpoints_and_sight(self):
